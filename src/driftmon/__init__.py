@@ -49,6 +49,7 @@ from .forecasters import (
     predict_matrix,
 )
 from .monitor import (
+    BatchMoments,
     EveryKBatches,
     MeanTestPolicy,
     MonitorDecision,
@@ -56,11 +57,13 @@ from .monitor import (
     NeverPolicy,
     PeltPolicy,
     ReferenceBatch,
+    batch_moments,
     mean_test_step,
     new_state,
     observe,
     pelt,
     pelt_step,
+    row_moments,
     scheduled_step,
     warmup,
 )

@@ -16,12 +16,21 @@ should be refit:
 * EveryKBatches / NeverPolicy: deterministic schedules.
 
 One MonitorState per stream; steps within a stream are strictly sequential.
+
+A step's input is a loss batch or its BatchMoments (size, mean, ddof=1
+variance and sum of squared deviations). The moments of a batch are computed
+once and shared by the Welch test and the reference update; ``row_moments``
+computes those of a whole block of batches in one call, with the same numpy
+expressions, so the results are identical either way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +102,68 @@ Policy = MeanTestPolicy | PeltPolicy | EveryKBatches | NeverPolicy
 # State
 # ---------------------------------------------------------------------------
 
+class BatchMoments(NamedTuple):
+    """A loss batch with its size, mean, ddof=1 variance and m2 (ddof=0 variance * n).
+
+    ``var`` is NaN for a batch of fewer than two losses.
+    """
+
+    values: np.ndarray
+    n: int
+    mean: float
+    var: float
+    m2: float
+
+
+def _moments(x: np.ndarray):
+    """(mean, ddof=1 variance, m2) along the last axis, which has >= 2 entries."""
+    n = x.shape[-1]
+    return x.mean(axis=-1), x.var(axis=-1, ddof=1), x.var(axis=-1) * n
+
+
+def batch_moments(losses) -> BatchMoments:
+    """Moments of one loss batch; a BatchMoments is returned unchanged."""
+    if isinstance(losses, BatchMoments):
+        return losses
+    x = np.asarray(losses, dtype=float).ravel()
+    n = x.size
+    if n < 2:
+        mean = float(x.mean()) if n else math.nan
+        return BatchMoments(x, n, mean, math.nan, 0.0)
+    mean, var, m2 = _moments(x)
+    return BatchMoments(x, n, float(mean), float(var), float(m2))
+
+
+def row_moments(block) -> Iterator[BatchMoments]:
+    """Moments of each row of a (batches, batch_size) block, in one call per moment.
+
+    Each row's moments equal ``batch_moments(row)`` exactly: numpy reduces
+    every row of a contiguous block the way it reduces a lone batch. The
+    BatchMoments are made lazily, one row at a time.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[1] < 2:
+        raise InsufficientSample(
+            f"need a 2-D block with >= 2 losses per row, got shape {block.shape}")
+    means, variances, m2s = (map(float, a) for a in _moments(block))
+    return map(BatchMoments, block, repeat(block.shape[1]), means, variances, m2s)
+
+
 class ReferenceBatch:
-    """Losses of the current stable regime with running moments.
+    """Running moments of the current stable regime's losses.
 
     Appends merge batch moments into the running mean and sum of squared
     deviations, so the monitoring test needs no second pass over history.
+    Loss chunks are kept only when ``max_len`` caps the reference, which
+    needs them to drop its oldest losses; ``losses`` exists only then. An
+    uncapped reference holds its moments alone, so its memory stays constant
+    however long the stable regime lasts.
     """
 
     def __init__(self, max_len: int | None = None):
         self.max_len = max_len
         self.established_at: int | None = None
-        self._chunks: list[np.ndarray] = []
+        self._chunks: list[np.ndarray] | None = None if max_len is None else []
         self.n = 0
         self.mean = 0.0
         self._m2 = 0.0
@@ -113,6 +173,9 @@ class ReferenceBatch:
 
     @property
     def losses(self) -> np.ndarray:
+        """The kept losses, oldest first; only a capped reference keeps them."""
+        if self._chunks is None:
+            raise AttributeError("an uncapped reference keeps no losses")
         if not self._chunks:
             return np.empty(0)
         return np.concatenate(self._chunks)
@@ -121,35 +184,31 @@ class ReferenceBatch:
         """Sample (ddof=1) variance; requires n >= 2."""
         return self._m2 / (self.n - 1)
 
-    def append(self, batch: np.ndarray) -> None:
-        batch = np.asarray(batch, dtype=float)
-        b_n = batch.size
+    def append(self, batch) -> None:
+        """Merge a loss batch (or its BatchMoments) into the reference."""
+        batch = batch_moments(batch)
+        b_n = batch.n
         if b_n == 0:
             return
-        b_mean = float(batch.mean())
-        b_m2 = float(batch.var()) * b_n
         total = self.n + b_n
-        delta = b_mean - self.mean
+        delta = batch.mean - self.mean
         self.mean += delta * b_n / total
-        self._m2 += b_m2 + delta * delta * self.n * b_n / total
+        self._m2 += batch.m2 + delta * delta * self.n * b_n / total
         self.n = total
-        self._chunks.append(batch)
-        if self.max_len is not None and self.n > self.max_len:
-            kept = np.concatenate(self._chunks)[-self.max_len:]
-            self._recompute(kept)
+        if self._chunks is not None:
+            self._chunks.append(batch.values)
+            if self.n > self.max_len:
+                kept = batch_moments(np.concatenate(self._chunks)[-self.max_len:])
+                self._chunks = [kept.values]
+                self.n, self.mean, self._m2 = kept.n, kept.mean, kept.m2
 
     def reset(self) -> None:
-        self._chunks = []
+        if self._chunks is not None:
+            self._chunks = []
         self.n = 0
         self.mean = 0.0
         self._m2 = 0.0
         self.established_at = None
-
-    def _recompute(self, values: np.ndarray) -> None:
-        self._chunks = [values]
-        self.n = values.size
-        self.mean = float(values.mean())
-        self._m2 = float(values.var()) * values.size
 
 
 @dataclass
@@ -186,11 +245,11 @@ def warmup(state: MonitorState, first_losses) -> MonitorState:
         raise ValueError("warmup applies to the mean-test policy only")
     if len(state.reference) > 0:
         raise AlreadyWarm("reference batch already established")
-    first_losses = np.asarray(first_losses, dtype=float)
-    if first_losses.size == 0:
+    first = batch_moments(first_losses)
+    if first.n == 0:
         raise InsufficientSample("warm-up batch must be nonempty")
     state.batches_seen += 1
-    state.reference.append(first_losses)
+    state.reference.append(first)
     state.reference.established_at = state.batches_seen
     state.r_history.append(0)
     return state
@@ -205,29 +264,26 @@ def mean_test_step(state: MonitorState, new_losses, alpha: float | None = None) 
         raise NotWarmedUp("reference batch is empty; run warmup first")
     if state.reference.n < 2:
         raise InsufficientSample("reference batch needs >= 2 losses before testing")
-    new_losses = np.asarray(new_losses, dtype=float)
-    if new_losses.size < 2:
-        raise InsufficientSample(f"loss batch needs >= 2 entries, got {new_losses.size}")
+    batch = batch_moments(new_losses)
+    if batch.n < 2:
+        raise InsufficientSample(f"loss batch needs >= 2 entries, got {batch.n}")
     if alpha is None:
         alpha = policy.alpha
 
     ref = state.reference
-    test = welch_test_from_moments(
-        ref.n, ref.mean, ref.variance(),
-        new_losses.size, float(new_losses.mean()), float(new_losses.var(ddof=1)),
-        alpha,
-    )
+    test = welch_test_from_moments(ref.n, ref.mean, ref.variance(),
+                                   batch.n, batch.mean, batch.var, alpha)
     state.batches_seen += 1
     if test.reject:
         state.r_history.append(1)
         state.last_retrain = state.batches_seen
         ref.reset()
         if policy.reseed_with_rejecting_batch:
-            ref.append(new_losses)
+            ref.append(batch)
             ref.established_at = state.batches_seen
         return MonitorDecision(retrain=True, test=test)
     state.r_history.append(0)
-    ref.append(new_losses)
+    ref.append(batch)
     return MonitorDecision(retrain=False, test=test)
 
 
@@ -236,11 +292,11 @@ def pelt_step(state: MonitorState, new_losses) -> MonitorDecision:
     policy = state.policy
     if not isinstance(policy, PeltPolicy):
         raise ValueError("pelt_step applies to the Pelt policy only")
-    new_losses = np.asarray(new_losses, dtype=float)
-    if new_losses.size == 0:
+    batch = batch_moments(new_losses)
+    if batch.n == 0:
         raise InsufficientSample("loss batch must be nonempty")
     state.batches_seen += 1
-    state.loss_history.append(float(new_losses.mean()))
+    state.loss_history.append(batch.mean)
     n = len(state.loss_history)
     if n < 2 * policy.min_seg_len:
         state.r_history.append(0)
@@ -276,7 +332,10 @@ def scheduled_step(state: MonitorState) -> MonitorDecision:
 
 
 def observe(state: MonitorState, new_losses) -> MonitorDecision:
-    """Policy dispatcher for the pipeline: one call per completed batch end."""
+    """Policy dispatcher for the pipeline: one call per completed batch end.
+
+    ``new_losses`` is the batch's losses or its BatchMoments.
+    """
     policy = state.policy
     if isinstance(policy, MeanTestPolicy):
         if len(state.reference) == 0:

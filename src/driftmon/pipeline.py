@@ -75,6 +75,9 @@ class RunConfig:
                 "horizon", "must be <= slots_per_batch so each loss batch is complete "
                 "before the next decision point"
             )
+        if self.horizon < 2 and isinstance(self.policy, MeanTestPolicy):
+            raise ConfigError("horizon", "must be >= 2 for the mean_test policy, whose "
+                                         "Welch test needs two losses per batch")
         if self.window_days < 1:
             raise ConfigError("window_days", "must be >= 1")
         if min(self.feature_spec.lags) < self.horizon:

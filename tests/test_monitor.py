@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from driftmon.errors import AlreadyWarm, InsufficientSample, NotWarmedUp
 from driftmon.monitor import (
@@ -12,11 +14,13 @@ from driftmon.monitor import (
     NeverPolicy,
     PeltPolicy,
     ReferenceBatch,
+    batch_moments,
     mean_test_step,
     new_state,
     observe,
     pelt,
     pelt_step,
+    row_moments,
     scheduled_step,
     warmup,
 )
@@ -46,6 +50,63 @@ def test_reference_max_len_truncates_front():
     assert ref.n == 5
     assert ref.losses.tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
     assert ref.mean == pytest.approx(4.0)
+
+
+def test_uncapped_reference_keeps_no_chunks():
+    rng = np.random.default_rng(4)
+    ref = ReferenceBatch()
+    chunks = [rng.normal(size=50) for _ in range(1000)]
+    for chunk in chunks:
+        ref.append(chunk)
+    alive = [weakref.ref(chunk) for chunk in chunks]
+    pooled = np.concatenate(chunks)
+    del chunks, chunk
+    assert not any(r() is not None for r in alive)
+    assert not hasattr(ref, "losses")
+    assert ref.n == 50_000
+    assert ref.mean == pytest.approx(pooled.mean(), rel=1e-12, abs=1e-12)
+    assert ref.variance() == pytest.approx(pooled.var(ddof=1), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Batch moments
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(block=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(2, 80)),
+                    elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+def test_row_moments_equal_per_row_numpy_exactly(block):
+    rows = list(row_moments(block))
+    assert len(rows) == block.shape[0]
+    for x, m in zip(block, rows):
+        n = x.size
+        assert m.n == n
+        assert m.mean == x.mean()
+        assert m.var == x.var(ddof=1)
+        assert m.m2 == float(x.var()) * n
+        assert batch_moments(x)[1:] == m[1:]
+
+
+def test_batch_moments_of_short_batches():
+    empty = batch_moments([])
+    assert empty.n == 0 and empty.m2 == 0.0
+    one = batch_moments([3.0])
+    assert (one.n, one.mean, one.m2) == (1, 3.0, 0.0)
+    assert math.isnan(one.var)
+    with pytest.raises(InsufficientSample):
+        row_moments(np.ones((4, 1)))
+
+
+def test_mean_test_on_moments_matches_raw_batches():
+    rng = np.random.default_rng(5)
+    batches = [rng.normal(0.0, 1.0 + (i % 3), 12) for i in range(40)]
+    raw = new_state(MeanTestPolicy(alpha=0.2))
+    pre = new_state(MeanTestPolicy(alpha=0.2))
+    for batch, moments in zip(batches, row_moments(np.array(batches))):
+        assert observe(raw, batch) == observe(pre, moments)
+    assert raw.r_history == pre.r_history
+    assert (raw.reference.n, raw.reference.mean, raw.reference.variance()) == \
+        (pre.reference.n, pre.reference.mean, pre.reference.variance())
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,21 @@ def test_config_validation_errors():
         naive_config(NeverPolicy(), window_days=6)  # window shorter than max lag
 
 
+def test_mean_test_needs_two_losses_per_batch():
+    with pytest.raises(ConfigError) as exc:
+        naive_config(MeanTestPolicy(), horizon=1)
+    assert exc.value.field == "horizon"
+    flat = naive_config(MeanTestPolicy(), horizon=2).to_flat_dict()
+    flat["horizon"] = 1
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(flat)
+    assert exc.value.field == "horizon"
+    # the smallest horizons that validate run to completion
+    for policy, horizon in ((MeanTestPolicy(), 2), (PeltPolicy(), 1), (NeverPolicy(), 1)):
+        log = run(naive_config(policy, source=tiny_scenario(0, noise=1.0), horizon=horizon))
+        assert all(r.forecasts.size == horizon for r in log.records)
+
+
 def test_insufficient_history():
     with pytest.raises(InsufficientHistory):
         run(naive_config(NeverPolicy(), source=tiny_scenario(0, n_days=8)))

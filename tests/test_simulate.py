@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from driftmon.monitor import MeanTestPolicy, new_state, observe
 from driftmon.simulate import (
     NullStudyConfig,
+    RandomSource,
     RegimeScenario,
     _null_study_replication,
     gen_regime_streams,
@@ -53,6 +55,33 @@ def test_null_study_monotone_in_alpha_per_replication():
         r05, _ = _null_study_replication(NullStudyConfig(alpha=0.05, **TINY), rep)
         r01, _ = _null_study_replication(NullStudyConfig(alpha=0.01, **TINY), rep)
         assert r01 <= r05
+
+
+def raw_batch_replication(config, rep):
+    """(rejections, tests) from stepping the monitor on raw batch arrays one by one."""
+    n_batches = config.stream_length // config.batch_size
+    draws = RandomSource((config.seed, rep)).draw(config.distribution,
+                                                 n_batches * config.batch_size)
+    state = new_state(MeanTestPolicy(alpha=config.alpha,
+                                     reseed_with_rejecting_batch=config.reseed_with_rejecting_batch))
+    rejections = tests = 0
+    for batch in draws.reshape(n_batches, config.batch_size):
+        decision = observe(state, batch.copy())
+        if decision.test is not None:
+            tests += 1
+            rejections += decision.retrain
+    return rejections, tests
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "chisquare5"])
+@pytest.mark.parametrize("batch_size", [2, 10, 50])
+@pytest.mark.parametrize("reseed", [False, True])
+def test_replication_on_row_moments_matches_raw_batch_loop(distribution, batch_size, reseed):
+    config = NullStudyConfig(distribution=distribution, stream_length=40 * batch_size,
+                             batch_size=batch_size, alpha=0.1, n_replications=4, seed=3,
+                             reseed_with_rejecting_batch=reseed)
+    for rep in range(config.n_replications):
+        assert _null_study_replication(config, rep) == raw_batch_replication(config, rep)
 
 
 def test_null_study_config_validation():
