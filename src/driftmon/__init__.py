@@ -9,7 +9,6 @@ and regime-shift experiments.
 """
 
 from .errors import (
-    AlreadyWarm,
     ConfigError,
     DriftmonError,
     EmptyLog,
@@ -18,7 +17,6 @@ from .errors import (
     InsufficientHistory,
     InsufficientSample,
     InvalidLag,
-    NotWarmedUp,
     ParseError,
     ShapeError,
 )
@@ -32,7 +30,7 @@ from .evaluate import (
     sape,
     squared_loss_batch,
 )
-from .features import DesignMatrix, FeatureSpec, feature_matrix, feature_vector, training_set
+from .features import DesignMatrix, FeatureSpec, feature_matrix, training_set
 from .forecasters import (
     BoostingParams,
     ForecastModel,
@@ -45,7 +43,6 @@ from .forecasters import (
     fit_forest,
     fit_lasso,
     fit_naive,
-    predict,
     predict_matrix,
 )
 from .monitor import (
@@ -58,18 +55,14 @@ from .monitor import (
     PeltPolicy,
     ReferenceBatch,
     batch_moments,
-    mean_test_step,
     new_state,
     observe,
     pelt,
-    pelt_step,
     row_moments,
-    scheduled_step,
-    warmup,
 )
 from .pipeline import RunConfig, compare_policies, comparison_table, config_from_dict, load_config, run
-from .simulate import NullStudyConfig, RegimeScenario, gen_regime_streams, random_source, run_null_study
+from .simulate import NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study
 from .stats import TestResult, bic, gaussian_segment_cost, mean_equality_test
-from .streams import BatchWindow, StreamSet, batch_ends, ingest_csv, write_csv
+from .streams import StreamSet, batch_ends, ingest_csv, write_csv
 
 __version__ = "0.1.0"

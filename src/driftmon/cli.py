@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
 import os
 import sys
 
 from .errors import ConfigError, DriftmonError
 from .evaluate import build_report, read_runlog, write_report_csv, write_report_json, write_runlog
 from .pipeline import compare_policies, comparison_table, load_config, run
+from .schema import document_hash, read_json
 from .simulate import DISTRIBUTIONS, NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study
 from .streams import write_csv
 
@@ -84,9 +83,7 @@ def _cmd_null_study(args) -> int:
     print(f"rejection_frequency={freq:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        payload = json.dumps(config.__dict__, sort_keys=True)
-        stamp = (f"config_hash={hashlib.sha256(payload.encode()).hexdigest()[:12]} "
-                 f"seed={config.seed}")
+        stamp = f"config_hash={document_hash(config.__dict__)} seed={config.seed}"
         path = os.path.join(args.out, "null_study.csv")
         new_file = not os.path.exists(path)
         with open(path, "a", newline="", encoding="utf-8") as handle:
@@ -101,22 +98,13 @@ def _cmd_null_study(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     try:
-        with open(args.scenario, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError("scenario", f"scenario file not found: {args.scenario}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("scenario", f"invalid JSON in {args.scenario}: {exc}")
-    try:
-        scenario = RegimeScenario.from_dict(data)
+        scenario = RegimeScenario.from_dict(read_json(args.scenario, "scenario"))
     except (TypeError, ValueError) as exc:
         raise ConfigError("scenario", str(exc))
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
     streams = gen_regime_streams(scenario)
-    payload = json.dumps(scenario.to_dict(), sort_keys=True)
-    stamp = (f"config_hash={hashlib.sha256(payload.encode()).hexdigest()[:12]} "
-             f"seed={scenario.seed}")
+    stamp = f"config_hash={document_hash(scenario.to_dict())} seed={scenario.seed}"
     write_csv(streams, args.out, header_comment=stamp)
     print(f"wrote {streams.n_ticks} ticks x {streams.n_streams} streams to {args.out}")
     return 0

@@ -42,14 +42,6 @@ class ShapeError(DriftmonError):
     """Array dimensions do not match the operation's contract."""
 
 
-class NotWarmedUp(DriftmonError):
-    """Monitor stepped before its reference batch was established."""
-
-
-class AlreadyWarm(DriftmonError):
-    """Warm-up called on a monitor that already holds a reference batch."""
-
-
 class EmptyLog(DriftmonError):
     """Report requested from a run log with no recorded batches."""
 

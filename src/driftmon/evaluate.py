@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLog, ShapeError
+from .monitor import RETRAIN_LABELS
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def read_runlog(outdir: str) -> RunLog:
             losses=np.array(entry["losses"]),
             policy=entry.get("policy", ""),
             decision=decision,
-            retrain=decision in ("reject", "retrain"),
+            retrain=decision in RETRAIN_LABELS,
             p_value=entry.get("p_value"),
             statistic=entry.get("statistic"),
             model_token="",

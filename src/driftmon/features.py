@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory
+from .schema import check_fields
 from .streams import StreamSet
 
 TICKS_PER_HOUR = 4  # base frequency is quarter-hourly
@@ -39,6 +40,8 @@ class FeatureSpec:
     include_dow_dummies: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "lags", tuple(sorted(self.lags)))
+        check_fields(self)
         if not self.lags:
             raise ValueError("lags must be nonempty")
         if any(j < 1 for j in self.lags):
@@ -51,7 +54,6 @@ class FeatureSpec:
             raise ValueError("days_per_week must be >= 1")
         if self.include_hour_dummies and self.slots_per_day % TICKS_PER_HOUR != 0:
             raise ValueError("hour dummies need slots_per_day divisible by 4")
-        object.__setattr__(self, "lags", tuple(sorted(self.lags)))
 
     @property
     def max_lag(self) -> int:
@@ -132,11 +134,6 @@ def feature_matrix(stream_set: StreamSet, spec: FeatureSpec,
         levels = np.arange(1, spec.n_hour_levels)
         blocks.append((hour[:, None] == levels[None, :]).astype(float))
     return np.hstack(blocks)
-
-
-def feature_vector(stream_set: StreamSet, spec: FeatureSpec, target_tick: int) -> np.ndarray:
-    """The p-vector of predictors for a single target tick."""
-    return feature_matrix(stream_set, spec, np.array([target_tick]))[0]
 
 
 def training_set(stream_set: StreamSet, spec: FeatureSpec, target_stream: int,

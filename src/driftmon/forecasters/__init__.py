@@ -16,34 +16,5 @@ from .models import (
     fit_forest,
     fit_lasso,
     fit_naive,
-    predict,
     predict_matrix,
 )
-
-__all__ = [
-    "BoostingParams",
-    "EnsemblePayload",
-    "FlatTree",
-    "ForecastModel",
-    "ForestParams",
-    "HyperParams",
-    "LassoFit",
-    "LassoParams",
-    "ModelKind",
-    "NaivePayload",
-    "TreeNode",
-    "coordinate_descent",
-    "dump_model",
-    "dump_tree",
-    "fit_at_lambda",
-    "fit_boosting",
-    "fit_forest",
-    "fit_lasso",
-    "fit_naive",
-    "grow_tree",
-    "lasso_path",
-    "predict",
-    "predict_matrix",
-    "scale_leaf_values",
-    "soft_threshold",
-]

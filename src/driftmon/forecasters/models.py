@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import InsufficientData, InvalidLag, ShapeError
 from ..features import DesignMatrix
+from ..schema import check_fields
 from .cart import FlatTree, TreeNode, dump_tree, grow_tree, scale_leaf_values
 from .lasso import LassoFit, lasso_path
 
@@ -36,6 +37,7 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_trees < 1 or self.min_node_size < 1:
             raise ValueError("n_trees and min_node_size must be >= 1")
         if self.mtry is not None and self.mtry < 1:
@@ -53,6 +55,7 @@ class BoostingParams:
     subsample: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be >= 0")
         if self.max_depth < 1:
@@ -73,6 +76,7 @@ class LassoParams:
     max_iter: int = 10_000
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_lambda < 1 or self.max_iter < 1:
             raise ValueError("n_lambda and max_iter must be >= 1")
         if not 0.0 < self.lambda_min_ratio < 1.0:
@@ -229,16 +233,6 @@ def predict_matrix(model: ForecastModel, X: np.ndarray) -> np.ndarray:
     else:
         out += model.payload.base
     return out
-
-
-def predict(model: ForecastModel, features) -> float:
-    """Scalar forecast from a single feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 1 or features.size != model.n_features:
-        raise ShapeError(
-            f"expected a length-{model.n_features} feature vector, got shape {features.shape}"
-        )
-    return float(predict_matrix(model, features[None, :])[0])
 
 
 def dump_model(model: ForecastModel) -> str:

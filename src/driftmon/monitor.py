@@ -15,7 +15,9 @@ should be refit:
   changepoint triggers retraining and restarts the history after it.
 * EveryKBatches / NeverPolicy: deterministic schedules.
 
-One MonitorState per stream; steps within a stream are strictly sequential.
+Each policy class implements the Policy interface (its step, decision label,
+run-label tag and flat config keys: ``every_k``, ``pelt_penalty``, ...); ``observe`` is the one call per batch
+end. One MonitorState per stream; steps within a stream are strictly sequential.
 
 A step's input is a loss batch or its BatchMoments (size, mean, ddof=1
 variance and sum of squared deviations). The moments of a batch are computed
@@ -28,74 +30,19 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import AlreadyWarm, InsufficientSample, NotWarmedUp
+from .errors import InsufficientSample
+from .schema import check_fields
 from .stats import TestResult, gaussian_segment_cost, welch_test_from_moments
 
-
-# ---------------------------------------------------------------------------
-# Policies
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MeanTestPolicy:
-    alpha: float = 0.05
-    max_reference_len: int | None = None
-    reseed_with_rejecting_batch: bool = False
-    name: str = field(default="mean_test", init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.max_reference_len is not None and self.max_reference_len < 2:
-            raise ValueError("max_reference_len must be >= 2 when set")
-
-
-@dataclass(frozen=True)
-class PeltPolicy:
-    """Changepoint benchmark on per-batch mean losses.
-
-    The default penalty is 3 * log(N) with N the total batches the monitor
-    has seen, not the length of the post-retrain history: tying the penalty
-    to the truncated history makes it collapse right after each detection
-    and the policy then fires on every wiggle.
-    """
-
-    penalty: float | None = None
-    min_seg_len: int = 2
-    name: str = field(default="pelt", init=False)
-
-    def __post_init__(self):
-        if self.min_seg_len < 2:
-            raise ValueError("min_seg_len must be >= 2")
-        if self.penalty is not None and self.penalty < 0.0:
-            raise ValueError("penalty must be >= 0 when set")
-
-    def penalty_for(self, batches_seen: int) -> float:
-        return self.penalty if self.penalty is not None else 3.0 * math.log(batches_seen)
-
-
-@dataclass(frozen=True)
-class EveryKBatches:
-    k: int = 1
-    name: str = field(default="every_k", init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class NeverPolicy:
-    name: str = field(default="never", init=False)
-
-
-Policy = MeanTestPolicy | PeltPolicy | EveryKBatches | NeverPolicy
+# Run-log decision labels of a retrain; the others are warmup, accept and
+# hold, and "final" marks the last scored batch, which no decision follows.
+RETRAIN_LABELS = frozenset({"reject", "retrain"})
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +109,6 @@ class ReferenceBatch:
 
     def __init__(self, max_len: int | None = None):
         self.max_len = max_len
-        self.established_at: int | None = None
         self._chunks: list[np.ndarray] | None = None if max_len is None else []
         self.n = 0
         self.mean = 0.0
@@ -202,14 +148,6 @@ class ReferenceBatch:
                 self._chunks = [kept.values]
                 self.n, self.mean, self._m2 = kept.n, kept.mean, kept.m2
 
-    def reset(self) -> None:
-        if self._chunks is not None:
-            self._chunks = []
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.established_at = None
-
 
 @dataclass
 class MonitorState:
@@ -222,6 +160,12 @@ class MonitorState:
     batches_seen: int = 0
     last_retrain: int = 0
 
+    def record(self, retrain: bool) -> None:
+        """Log the current batch's decision; a retrain restarts the schedule."""
+        self.r_history.append(int(retrain))
+        if retrain:
+            self.last_retrain = self.batches_seen
+
 
 @dataclass(frozen=True)
 class MonitorDecision:
@@ -230,121 +174,189 @@ class MonitorDecision:
     detected_changepoints: tuple[int, ...] | None = None
 
 
-def new_state(policy: Policy) -> MonitorState:
-    max_len = policy.max_reference_len if isinstance(policy, MeanTestPolicy) else None
-    return MonitorState(policy=policy, reference=ReferenceBatch(max_len=max_len))
-
-
 # ---------------------------------------------------------------------------
-# Steps
+# Policies
 # ---------------------------------------------------------------------------
 
-def warmup(state: MonitorState, first_losses) -> MonitorState:
-    """Establish the initial reference batch; no test is run."""
-    if not isinstance(state.policy, MeanTestPolicy):
-        raise ValueError("warmup applies to the mean-test policy only")
-    if len(state.reference) > 0:
-        raise AlreadyWarm("reference batch already established")
-    first = batch_moments(first_losses)
-    if first.n == 0:
-        raise InsufficientSample("warm-up batch must be nonempty")
-    state.batches_seen += 1
-    state.reference.append(first)
-    state.reference.established_at = state.batches_seen
-    state.r_history.append(0)
-    return state
+class Policy:
+    """The interface the pipeline and the run config use for every policy.
+
+    A policy's keys in the flat run config are ``key_prefix`` plus its field
+    names, ``min_batch_losses`` is the fewest losses per batch a step can
+    decide on, and ``max_reference_len`` caps the reference batch.
+    """
+
+    key_prefix: ClassVar[str] = ""
+    min_batch_losses: ClassVar[int] = 1
+    max_reference_len = None
+
+    def __post_init__(self):
+        check_fields(self)
+
+    def step(self, state: MonitorState, new_losses) -> MonitorDecision:
+        """Decide on one completed batch and update the stream's state."""
+        raise NotImplementedError
+
+    def label(self, decision: MonitorDecision) -> str:
+        """The decision's label in the run log."""
+        return "retrain" if decision.retrain else "hold"
+
+    def tag(self) -> str:
+        """The policy's part of a run label."""
+        return self.name
+
+    def params(self) -> dict:
+        """The policy's keys and values in the flat run config."""
+        return {self.key_prefix + f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
-def mean_test_step(state: MonitorState, new_losses, alpha: float | None = None) -> MonitorDecision:
-    """Test the incoming batch against the reference; update state per outcome."""
-    policy = state.policy
-    if not isinstance(policy, MeanTestPolicy):
-        raise ValueError("mean_test_step applies to the mean-test policy only")
-    if len(state.reference) == 0:
-        raise NotWarmedUp("reference batch is empty; run warmup first")
-    if state.reference.n < 2:
-        raise InsufficientSample("reference batch needs >= 2 losses before testing")
-    batch = batch_moments(new_losses)
-    if batch.n < 2:
-        raise InsufficientSample(f"loss batch needs >= 2 entries, got {batch.n}")
-    if alpha is None:
-        alpha = policy.alpha
+@dataclass(frozen=True)
+class MeanTestPolicy(Policy):
+    alpha: float = 0.05
+    max_reference_len: int | None = None
+    reseed_with_rejecting_batch: bool = False
+    name: str = field(default="mean_test", init=False)
 
-    ref = state.reference
-    test = welch_test_from_moments(ref.n, ref.mean, ref.variance(),
-                                   batch.n, batch.mean, batch.var, alpha)
-    state.batches_seen += 1
-    if test.reject:
-        state.r_history.append(1)
-        state.last_retrain = state.batches_seen
-        ref.reset()
-        if policy.reseed_with_rejecting_batch:
+    min_batch_losses: ClassVar[int] = 2  # the Welch test needs a variance
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        if self.max_reference_len is not None and self.max_reference_len < 2:
+            raise ValueError("max_reference_len must be >= 2 when set")
+
+    def params(self) -> dict:
+        # unset reference options are left out, so configs without them keep their hash
+        return {key: value for key, value in super().params().items()
+                if key == "alpha" or value}
+
+    def label(self, decision: MonitorDecision) -> str:
+        if decision.test is None:
+            return "warmup"
+        return "reject" if decision.retrain else "accept"
+
+    def tag(self) -> str:
+        return f"mean_test(alpha={self.alpha:g})"
+
+    def step(self, state: MonitorState, new_losses) -> MonitorDecision:
+        """Warm up an empty reference; otherwise test the batch against it."""
+        ref = state.reference
+        batch = batch_moments(new_losses)
+        if ref.n == 0:
+            if batch.n == 0:
+                raise InsufficientSample("warm-up batch must be nonempty")
+            state.batches_seen += 1
             ref.append(batch)
-            ref.established_at = state.batches_seen
-        return MonitorDecision(retrain=True, test=test)
-    state.r_history.append(0)
-    ref.append(batch)
-    return MonitorDecision(retrain=False, test=test)
-
-
-def pelt_step(state: MonitorState, new_losses) -> MonitorDecision:
-    """Append the batch mean loss and resegment the post-retrain history."""
-    policy = state.policy
-    if not isinstance(policy, PeltPolicy):
-        raise ValueError("pelt_step applies to the Pelt policy only")
-    batch = batch_moments(new_losses)
-    if batch.n == 0:
-        raise InsufficientSample("loss batch must be nonempty")
-    state.batches_seen += 1
-    state.loss_history.append(batch.mean)
-    n = len(state.loss_history)
-    if n < 2 * policy.min_seg_len:
-        state.r_history.append(0)
-        return MonitorDecision(retrain=False, detected_changepoints=())
-    changepoints, _ = pelt(state.loss_history, policy.penalty_for(state.batches_seen),
-                           policy.min_seg_len)
-    if changepoints:
-        newest = changepoints[-1]
-        state.loss_history = state.loss_history[newest:]
-        state.r_history.append(1)
-        state.last_retrain = state.batches_seen
-        return MonitorDecision(retrain=True, detected_changepoints=tuple(changepoints))
-    state.r_history.append(0)
-    return MonitorDecision(retrain=False, detected_changepoints=())
-
-
-def scheduled_step(state: MonitorState) -> MonitorDecision:
-    """Deterministic schedules: every k batches, or never."""
-    policy = state.policy
-    if isinstance(policy, NeverPolicy):
+            state.record(False)
+            return MonitorDecision(retrain=False)
+        if ref.n < 2:
+            raise InsufficientSample("reference batch needs >= 2 losses before testing")
+        if batch.n < 2:
+            raise InsufficientSample(f"loss batch needs >= 2 entries, got {batch.n}")
+        test = welch_test_from_moments(ref.n, ref.mean, ref.variance(),
+                                       batch.n, batch.mean, batch.var, self.alpha)
         state.batches_seen += 1
-        state.r_history.append(0)
+        state.record(test.reject)
+        if test.reject:
+            ref = state.reference = ReferenceBatch(self.max_reference_len)
+            if self.reseed_with_rejecting_batch:
+                ref.append(batch)
+            return MonitorDecision(retrain=True, test=test)
+        ref.append(batch)
+        return MonitorDecision(retrain=False, test=test)
+
+
+@dataclass(frozen=True)
+class PeltPolicy(Policy):
+    """Changepoint benchmark on per-batch mean losses.
+
+    The default penalty is 3 * log(N) with N the total batches the monitor
+    has seen, not the length of the post-retrain history: tying the penalty
+    to the truncated history makes it collapse right after each detection
+    and the policy then fires on every wiggle.
+    """
+
+    penalty: float | None = None
+    min_seg_len: int = 2
+    name: str = field(default="pelt", init=False)
+
+    key_prefix: ClassVar[str] = "pelt_"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.min_seg_len < 2:
+            raise ValueError("min_seg_len must be >= 2")
+        if self.penalty is not None and self.penalty < 0.0:
+            raise ValueError("penalty must be >= 0 when set")
+
+    def penalty_for(self, batches_seen: int) -> float:
+        return self.penalty if self.penalty is not None else 3.0 * math.log(batches_seen)
+
+    def tag(self) -> str:
+        return "pelt" if self.penalty is None else f"pelt(penalty={self.penalty:g})"
+
+    def step(self, state: MonitorState, new_losses) -> MonitorDecision:
+        """Append the batch mean loss and resegment the post-retrain history."""
+        batch = batch_moments(new_losses)
+        if batch.n == 0:
+            raise InsufficientSample("loss batch must be nonempty")
+        state.batches_seen += 1
+        state.loss_history.append(batch.mean)
+        changepoints: list[int] = []
+        if len(state.loss_history) >= 2 * self.min_seg_len:
+            changepoints, _ = pelt(state.loss_history, self.penalty_for(state.batches_seen),
+                                   self.min_seg_len)
+        if changepoints:
+            state.loss_history = state.loss_history[changepoints[-1]:]
+        state.record(bool(changepoints))
+        return MonitorDecision(retrain=bool(changepoints),
+                               detected_changepoints=tuple(changepoints))
+
+
+@dataclass(frozen=True)
+class EveryKBatches(Policy):
+    k: int = 1
+    name: str = field(default="every_k", init=False)
+
+    key_prefix: ClassVar[str] = "every_"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+
+    def tag(self) -> str:
+        return f"every_{self.k}"
+
+    def step(self, state: MonitorState, new_losses) -> MonitorDecision:
+        """Retrain once k batches have passed since the last retrain."""
+        state.batches_seen += 1
+        retrain = state.batches_seen - state.last_retrain >= self.k
+        state.record(retrain)
+        return MonitorDecision(retrain=retrain)
+
+
+@dataclass(frozen=True)
+class NeverPolicy(Policy):
+    name: str = field(default="never", init=False)
+
+    def step(self, state: MonitorState, new_losses) -> MonitorDecision:
+        state.batches_seen += 1
+        state.record(False)
         return MonitorDecision(retrain=False)
-    if not isinstance(policy, EveryKBatches):
-        raise ValueError("scheduled_step applies to deterministic policies only")
-    state.batches_seen += 1
-    if state.batches_seen - state.last_retrain >= policy.k:
-        state.last_retrain = state.batches_seen
-        state.r_history.append(1)
-        return MonitorDecision(retrain=True)
-    state.r_history.append(0)
-    return MonitorDecision(retrain=False)
+
+
+POLICIES = {cls.name: cls for cls in (MeanTestPolicy, PeltPolicy, EveryKBatches, NeverPolicy)}
+
+
+def new_state(policy: Policy) -> MonitorState:
+    return MonitorState(policy=policy, reference=ReferenceBatch(max_len=policy.max_reference_len))
 
 
 def observe(state: MonitorState, new_losses) -> MonitorDecision:
-    """Policy dispatcher for the pipeline: one call per completed batch end.
-
-    ``new_losses`` is the batch's losses or its BatchMoments.
-    """
-    policy = state.policy
-    if isinstance(policy, MeanTestPolicy):
-        if len(state.reference) == 0:
-            warmup(state, new_losses)
-            return MonitorDecision(retrain=False)
-        return mean_test_step(state, new_losses)
-    if isinstance(policy, PeltPolicy):
-        return pelt_step(state, new_losses)
-    return scheduled_step(state)
+    """One policy step per completed batch end, on its losses or their BatchMoments."""
+    return state.policy.step(state, new_losses)
 
 
 # ---------------------------------------------------------------------------

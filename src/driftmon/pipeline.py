@@ -14,10 +14,8 @@ timings aside.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,20 +31,13 @@ from .forecasters import (
     fit_naive,
     predict_matrix,
 )
-from .monitor import (
-    EveryKBatches,
-    MeanTestPolicy,
-    MonitorState,
-    NeverPolicy,
-    PeltPolicy,
-    Policy,
-    new_state,
-    observe,
-)
+from .monitor import POLICIES, MeanTestPolicy, MonitorState, Policy, new_state, observe
+from .schema import check_fields, document_hash, parse_field, read_json
 from .simulate import RegimeScenario, gen_regime_streams
 from .streams import StreamSet, batch_ends, ingest_csv
 
 FORECASTERS = ("naive", "lasso", "forest", "boosting")
+SOURCES = ("data_csv", "data_scenario", "data_scenario_inline")
 
 
 @dataclass(frozen=True)
@@ -64,20 +55,22 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.forecaster not in FORECASTERS:
             raise ConfigError("forecaster", f"must be one of {FORECASTERS}")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.slots_per_batch < 1:
             raise ConfigError("slots_per_batch", "must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon", "must be >= 1")
+        if self.horizon < self.policy.min_batch_losses:
+            raise ConfigError("horizon", f"must be >= {self.policy.min_batch_losses}: the "
+                                         f"{self.policy.name} policy needs that many losses "
+                                         "per batch")
         if self.horizon > self.slots_per_batch:
             raise ConfigError(
                 "horizon", "must be <= slots_per_batch so each loss batch is complete "
                 "before the next decision point"
             )
-        if self.horizon < 2 and isinstance(self.policy, MeanTestPolicy):
-            raise ConfigError("horizon", "must be >= 2 for the mean_test policy, whose "
-                                         "Welch test needs two losses per batch")
         if self.window_days < 1:
             raise ConfigError("window_days", "must be >= 1")
         if min(self.feature_spec.lags) < self.horizon:
@@ -93,169 +86,88 @@ class RunConfig:
             raise ConfigError("naive_lag", f"{self.naive_lag} is not one of the configured lags")
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_flat_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return document_hash(self.to_flat_dict())
 
     def to_flat_dict(self) -> dict:
-        d: dict = {}
+        """The flat config document; only the forecaster's own knobs appear."""
         if isinstance(self.source, RegimeScenario):
-            d["data_scenario_inline"] = self.source.to_dict()
+            d: dict = {"data_scenario_inline": self.source.to_dict()}
         else:
-            d["data_csv"] = str(self.source)
-        d["forecaster"] = self.forecaster
-        policy = self.policy
-        d["policy"] = policy.name
-        if isinstance(policy, MeanTestPolicy):
-            d["alpha"] = policy.alpha
-            if policy.max_reference_len is not None:
-                d["max_reference_len"] = policy.max_reference_len
-            if policy.reseed_with_rejecting_batch:
-                d["reseed_with_rejecting_batch"] = True
-        elif isinstance(policy, PeltPolicy):
-            d["pelt_penalty"] = policy.penalty
-            d["pelt_min_seg_len"] = policy.min_seg_len
-        elif isinstance(policy, EveryKBatches):
-            d["every_k"] = policy.k
-        spec = self.feature_spec
-        d.update(
-            lags=list(spec.lags), slots_per_day=spec.slots_per_day,
-            days_per_week=spec.days_per_week, include_trend=spec.include_trend,
-            include_hour_dummies=spec.include_hour_dummies,
-            include_dow_dummies=spec.include_dow_dummies,
-            window_days=self.window_days, slots_per_batch=self.slots_per_batch,
-            horizon=self.horizon, naive_lag=self.naive_lag, seed=self.seed,
-        )
-        hp = self.hyperparams
-        if self.forecaster == "forest":
-            d.update(forest_n_trees=hp.forest.n_trees, forest_mtry=hp.forest.mtry,
-                     forest_min_node_size=hp.forest.min_node_size,
-                     forest_bootstrap=hp.forest.bootstrap)
-        elif self.forecaster == "boosting":
-            d.update(boosting_n_rounds=hp.boosting.n_rounds,
-                     boosting_max_depth=hp.boosting.max_depth,
-                     boosting_learning_rate=hp.boosting.learning_rate,
-                     boosting_min_split_gain=hp.boosting.min_split_gain,
-                     boosting_colsample=hp.boosting.colsample,
-                     boosting_min_child_weight=hp.boosting.min_child_weight,
-                     boosting_subsample=hp.boosting.subsample)
-        elif self.forecaster == "lasso":
-            d.update(lasso_n_lambda=hp.lasso.n_lambda,
-                     lasso_lambda_min_ratio=hp.lasso.lambda_min_ratio,
-                     lasso_tol=hp.lasso.tol, lasso_max_iter=hp.lasso.max_iter)
+            d = {"data_csv": str(self.source)}
+        d["policy"] = self.policy.name
+        d.update(self.policy.params())
+        parts = [("", self), ("", self.feature_spec)]
+        if self.forecaster in _HP_SECTIONS:
+            parts.append((f"{self.forecaster}_", getattr(self.hyperparams, self.forecaster)))
+        for prefix, part in parts:
+            for key, f in _flat_fields(type(part), prefix).items():
+                value = getattr(part, f.name)
+                d[key] = list(value) if isinstance(value, tuple) else value
+        del d["out_dir"]  # where outputs go does not change them
         return d
 
 
-_CONFIG_KEYS = {
-    "data_csv", "data_scenario", "data_scenario_inline", "forecaster", "policy",
-    "alpha", "max_reference_len", "reseed_with_rejecting_batch",
-    "pelt_penalty", "pelt_min_seg_len", "every_k",
-    "lags", "slots_per_day", "days_per_week", "include_trend",
-    "include_hour_dummies", "include_dow_dummies",
-    "window_days", "slots_per_batch", "horizon", "naive_lag", "seed", "out_dir",
-    "forest_n_trees", "forest_mtry", "forest_min_node_size", "forest_bootstrap",
-    "boosting_n_rounds", "boosting_max_depth", "boosting_learning_rate",
-    "boosting_min_split_gain", "boosting_colsample", "boosting_min_child_weight",
-    "boosting_subsample",
-    "lasso_n_lambda", "lasso_lambda_min_ratio", "lasso_tol", "lasso_max_iter",
-}
+# The flat config schema: every key is a prefix plus a dataclass field name.
+# RunConfig and FeatureSpec fields take none, hyperparameters take their
+# forecaster's name (forest_n_trees) and policy fields their class's
+# key_prefix (pelt_penalty, every_k).
+
+_NESTED = ("source", "policy", "hyperparams", "feature_spec")
+_HP_SECTIONS = {f.name: f.default_factory for f in fields(HyperParams)}
+
+
+def _flat_fields(cls, prefix: str = "") -> dict:
+    """Flat key -> field, for each scalar field of the dataclass ``cls``."""
+    return {prefix + f.name: f for f in fields(cls) if f.init and f.name not in _NESTED}
+
+
+def config_keys() -> set[str]:
+    """Every key a flat config document may hold."""
+    keys = {*SOURCES, "policy", *_flat_fields(RunConfig), *_flat_fields(FeatureSpec)}
+    for name, cls in _HP_SECTIONS.items():
+        keys.update(_flat_fields(cls, f"{name}_"))
+    for cls in POLICIES.values():
+        keys.update(_flat_fields(cls, cls.key_prefix))
+    return keys
+
+
+def _parse(data: dict, cls, prefix: str = "") -> dict:
+    """Constructor arguments of ``cls`` from its flat keys present in ``data``."""
+    return {f.name: parse_field(f, key, data[key])
+            for key, f in _flat_fields(cls, prefix).items() if key in data}
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a RunConfig from the flat key-value document (see README schema)."""
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - config_keys()
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config key")
-    sources = [k for k in ("data_csv", "data_scenario", "data_scenario_inline") if k in data]
+    sources = [k for k in SOURCES if k in data]
     if len(sources) != 1:
         raise ConfigError("data_csv", "exactly one of data_csv, data_scenario, "
                                       "data_scenario_inline is required")
-    if "data_csv" in data:
-        source: str | RegimeScenario = str(data["data_csv"])
-    elif "data_scenario_inline" in data:
-        source = RegimeScenario.from_dict(data["data_scenario_inline"])
-    else:
-        with open(data["data_scenario"], encoding="utf-8") as handle:
-            source = RegimeScenario.from_dict(json.load(handle))
-
-    policy_name = data.get("policy", "mean_test")
     try:
-        if policy_name == "mean_test":
-            policy: Policy = MeanTestPolicy(
-                alpha=float(data.get("alpha", 0.05)),
-                max_reference_len=data.get("max_reference_len"),
-                reseed_with_rejecting_batch=bool(data.get("reseed_with_rejecting_batch", False)),
-            )
-        elif policy_name == "pelt":
-            penalty = data.get("pelt_penalty")
-            policy = PeltPolicy(penalty=None if penalty is None else float(penalty),
-                                min_seg_len=int(data.get("pelt_min_seg_len", 2)))
-        elif policy_name == "every_k":
-            policy = EveryKBatches(k=int(data.get("every_k", 1)))
-        elif policy_name == "never":
-            policy = NeverPolicy()
+        if "data_csv" in data:
+            source: str | RegimeScenario = str(data["data_csv"])
+        elif "data_scenario_inline" in data:
+            source = RegimeScenario.from_dict(data["data_scenario_inline"])
         else:
-            raise ConfigError("policy", f"unknown policy {policy_name!r}")
-        spec = FeatureSpec(
-            lags=tuple(data.get("lags", (60, 420))),
-            slots_per_day=int(data.get("slots_per_day", 60)),
-            days_per_week=int(data.get("days_per_week", 7)),
-            include_trend=bool(data.get("include_trend", True)),
-            include_hour_dummies=bool(data.get("include_hour_dummies", True)),
-            include_dow_dummies=bool(data.get("include_dow_dummies", True)),
-        )
-        hp = HyperParams()
-        if any(k.startswith("forest_") for k in data):
-            hp = replace(hp, forest=replace(
-                hp.forest,
-                n_trees=int(data.get("forest_n_trees", hp.forest.n_trees)),
-                mtry=data.get("forest_mtry", hp.forest.mtry),
-                min_node_size=int(data.get("forest_min_node_size", hp.forest.min_node_size)),
-                bootstrap=bool(data.get("forest_bootstrap", hp.forest.bootstrap)),
-            ))
-        if any(k.startswith("boosting_") for k in data):
-            hp = replace(hp, boosting=replace(
-                hp.boosting,
-                n_rounds=int(data.get("boosting_n_rounds", hp.boosting.n_rounds)),
-                max_depth=int(data.get("boosting_max_depth", hp.boosting.max_depth)),
-                learning_rate=float(data.get("boosting_learning_rate", hp.boosting.learning_rate)),
-                min_split_gain=float(data.get("boosting_min_split_gain", hp.boosting.min_split_gain)),
-                colsample=float(data.get("boosting_colsample", hp.boosting.colsample)),
-                min_child_weight=float(data.get("boosting_min_child_weight", hp.boosting.min_child_weight)),
-                subsample=float(data.get("boosting_subsample", hp.boosting.subsample)),
-            ))
-        if any(k.startswith("lasso_") for k in data):
-            hp = replace(hp, lasso=replace(
-                hp.lasso,
-                n_lambda=int(data.get("lasso_n_lambda", hp.lasso.n_lambda)),
-                lambda_min_ratio=float(data.get("lasso_lambda_min_ratio", hp.lasso.lambda_min_ratio)),
-                tol=float(data.get("lasso_tol", hp.lasso.tol)),
-                max_iter=int(data.get("lasso_max_iter", hp.lasso.max_iter)),
-            ))
-        return RunConfig(
-            source=source,
-            forecaster=str(data.get("forecaster", "forest")),
-            policy=policy,
-            hyperparams=hp,
-            feature_spec=spec,
-            window_days=int(data.get("window_days", 180)),
-            slots_per_batch=int(data.get("slots_per_batch", 60)),
-            horizon=int(data.get("horizon", 60)),
-            naive_lag=int(data.get("naive_lag", 420)),
-            seed=int(data.get("seed", 0)),
-            out_dir=data.get("out_dir"),
-        )
+            source = RegimeScenario.from_dict(read_json(data["data_scenario"], "data_scenario"))
+        policy_cls = POLICIES.get(data.get("policy", "mean_test"))
+        if policy_cls is None:
+            raise ConfigError("policy", f"unknown policy {data['policy']!r}")
+        policy = policy_cls(**_parse(data, policy_cls, policy_cls.key_prefix))
+        hp = HyperParams(**{name: cls(**_parse(data, cls, f"{name}_"))
+                            for name, cls in _HP_SECTIONS.items()})
+        return RunConfig(source=source, policy=policy, hyperparams=hp,
+                         feature_spec=FeatureSpec(**_parse(data, FeatureSpec)),
+                         **_parse(data, RunConfig))
     except (TypeError, ValueError) as exc:
         raise ConfigError("config", str(exc))
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        raise ConfigError("config", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}")
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must contain a JSON object")
     return config_from_dict(data)
@@ -335,8 +247,8 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
 
     n_streams = streams.n_streams
     fit_counts = [0] * n_streams
-    models: list[ForecastModel] = []
-    tokens: list[str] = []
+    models: list[ForecastModel] = [None] * n_streams  # type: ignore[list-item]
+    tokens = [""] * n_streams
     states: list[MonitorState] = [new_state(config.policy) for _ in range(n_streams)]
 
     def refit(i: int, at_tick: int) -> float:
@@ -348,8 +260,6 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
         return time.perf_counter() - start
 
     for i in range(n_streams):
-        models.append(None)  # type: ignore[arg-type]
-        tokens.append("")
         refit(i, ends[0])
 
     pending: list[np.ndarray] = [np.empty(0)] * n_streams
@@ -364,18 +274,12 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
                                           stream_id=streams.stream_ids[i])
                 made_by = tokens[i]
                 decision = observe(states[i], loss.losses)
-                if isinstance(config.policy, MeanTestPolicy):
-                    if decision.test is None:
-                        label = "warmup"
-                    else:
-                        label = "reject" if decision.retrain else "accept"
-                else:
-                    label = "retrain" if decision.retrain else "hold"
                 seconds = refit(i, b) if decision.retrain else 0.0
                 log.append(BatchRecord(
                     stream_id=streams.stream_ids[i], batch_index=idx,
                     batch_end=origin + Q, forecasts=forecasts, actuals=actuals.copy(),
-                    losses=loss.losses, policy=config.policy.name, decision=label,
+                    losses=loss.losses, policy=config.policy.name,
+                    decision=config.policy.label(decision),
                     retrain=decision.retrain,
                     p_value=decision.test.p_value if decision.test else None,
                     statistic=decision.test.statistic if decision.test else None,
@@ -413,16 +317,7 @@ class ComparisonRun:
 
 
 def run_label(config: RunConfig) -> str:
-    policy = config.policy
-    if isinstance(policy, MeanTestPolicy):
-        tag = f"mean_test(alpha={policy.alpha:g})"
-    elif isinstance(policy, PeltPolicy):
-        tag = "pelt" if policy.penalty is None else f"pelt(penalty={policy.penalty:g})"
-    elif isinstance(policy, EveryKBatches):
-        tag = f"every_{policy.k}"
-    else:
-        tag = "never"
-    return f"{config.forecaster}/{tag}"
+    return f"{config.forecaster}/{config.policy.tag()}"
 
 
 def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:

@@ -1,0 +1,81 @@
+"""Flat config documents: reading, hashing, and one parser per field type.
+
+``parse_field`` reads a flat JSON value as its field's annotated type
+(``int``, ``float | None``, ``bool``, ``tuple[int, ...]``, ...), accepting
+only lossless spellings such as ``8.0`` or ``"8"`` for an int. The config
+dataclasses call ``check_fields``, which requires each field to be what its
+parser makes of it, so both paths reject the same values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+from dataclasses import Field, fields
+
+from .errors import ConfigError
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    out = float(value)
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
+
+
+def _bool(value) -> bool:
+    if isinstance(value, int) and value in (0, 1):  # bool is an int
+        return bool(value)
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(map(_int, value))
+
+
+_PARSERS = {"int": _int, "float": _float, "bool": _bool, "tuple[int, ...]": _int_tuple,
+            "str": str}
+
+
+def parse_field(f: Field, key: str, value):
+    """The flat value ``value`` of key ``key`` as field ``f``'s type."""
+    kind = f.type.removesuffix(" | None")
+    if value is None and kind != f.type:
+        return None
+    try:
+        return _PARSERS[kind](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc))
+
+
+def check_fields(obj) -> None:
+    """Raise ConfigError for a typed field of ``obj`` that its parser would change."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type.removesuffix(" | None") in _PARSERS and parse_field(f, f.name, value) != value:
+            raise ConfigError(f.name, f"must be {f.type}, got {value!r}")
+
+
+def document_hash(doc: dict) -> str:
+    """Stamp of a JSON document: its SHA-256 with sorted keys, 12 hex digits."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def read_json(path: str, key: str):
+    """The JSON document at ``path``; ConfigError ``key`` if it is missing or invalid."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise ConfigError(key, f"file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(key, f"invalid JSON in {path}: {exc}")

@@ -15,7 +15,7 @@ the raw batches.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class RandomSource:
         if distribution == "chisquare5":
             return self.chisquare5(n)
         raise ValueError(f"unknown distribution {distribution!r}")
-
-
-def random_source(seed) -> RandomSource:
-    return RandomSource(seed)
 
 
 @dataclass(frozen=True)
@@ -188,17 +184,10 @@ class RegimeScenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_streams": self.n_streams,
-            "n_days": self.n_days,
-            "slots_per_day": self.slots_per_day,
-            "days_per_week": self.days_per_week,
-            "base_levels": list(self.base_levels) if self.base_levels else None,
-            "level_shifts": [list(s) for s in self.level_shifts],
-            "noise_scale": self.noise_scale,
-            "noise_correlation": self.noise_correlation,
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["base_levels"] = list(self.base_levels) if self.base_levels else None
+        d["level_shifts"] = [list(s) for s in self.level_shifts]
+        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegimeScenario":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,34 +54,6 @@ class StreamSet:
     @property
     def n_streams(self) -> int:
         return self.values.shape[1]
-
-    def value_at(self, tick: int, stream: int) -> float:
-        """Observation of stream column ``stream`` at 1-based ``tick``."""
-        if not 1 <= tick <= self.n_ticks:
-            raise IndexError(f"tick {tick} outside 1..{self.n_ticks}")
-        return float(self.values[tick - 1, stream])
-
-
-@dataclass(frozen=True)
-class BatchWindow:
-    """A forecast origin: batch end tick plus the horizon to cover."""
-
-    batch_end: int
-    horizon: int
-    slots_per_batch: int = field(default=0)
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.slots_per_batch and self.batch_end % self.slots_per_batch != 0:
-            raise ValueError(
-                f"batch_end {self.batch_end} is not a multiple of "
-                f"{self.slots_per_batch}"
-            )
-
-    @property
-    def target_ticks(self) -> range:
-        return range(self.batch_end + 1, self.batch_end + self.horizon + 1)
 
 
 def batch_ends(stream_set: StreamSet) -> list[int]:

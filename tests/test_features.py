@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftmon.errors import InsufficientHistory
-from driftmon.features import FeatureSpec, feature_matrix, feature_vector, training_set
+from driftmon.features import FeatureSpec, feature_matrix, training_set
 from driftmon.streams import StreamSet
 
 FULL_SPEC = FeatureSpec(lags=(60, 420), slots_per_day=60)
@@ -35,21 +35,21 @@ def test_lag_of_constant_stream():
     spec = FeatureSpec(lags=(2,), **BARE)
     streams = panel(np.full(10, 7.0), B=2)
     for t in range(3, 11):
-        assert feature_vector(streams, spec, t).tolist() == [7.0]
+        assert feature_matrix(streams, spec, [t])[0].tolist() == [7.0]
 
 
 def test_insufficient_history_at_boundary():
     spec = FeatureSpec(lags=(2,), **BARE)
     streams = panel(np.arange(10.0), B=2)
     with pytest.raises(InsufficientHistory):
-        feature_vector(streams, spec, 2)  # t == max lag
-    assert feature_vector(streams, spec, 3).tolist() == [0.0]  # t-2 -> tick 1
+        feature_matrix(streams, spec, [2])  # t == max lag
+    assert feature_matrix(streams, spec, [3])[0].tolist() == [0.0]  # t-2 -> tick 1
 
 
 def test_trend_and_dummies():
     spec = FeatureSpec(lags=(60,), slots_per_day=60)
     streams = panel(np.arange(60.0 * 16), B=60)
-    vec = feature_vector(streams, spec, 61)  # day 2, first slot
+    vec = feature_matrix(streams, spec, [61])[0]  # day 2, first slot
     names = spec.column_names(("s1",))
     assert vec[names.index("trend")] == pytest.approx(61 / 60)
     assert vec[names.index("dow_1")] == 1.0  # day index 1 -> level 1

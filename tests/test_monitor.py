@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftmon.errors import AlreadyWarm, InsufficientSample, NotWarmedUp
+from driftmon.errors import InsufficientSample
 from driftmon.monitor import (
     EveryKBatches,
     MeanTestPolicy,
@@ -15,14 +15,10 @@ from driftmon.monitor import (
     PeltPolicy,
     ReferenceBatch,
     batch_moments,
-    mean_test_step,
     new_state,
     observe,
     pelt,
-    pelt_step,
     row_moments,
-    scheduled_step,
-    warmup,
 )
 from oracles import enumerate_segmentations, optimal_partition
 
@@ -117,15 +113,14 @@ def test_warmup_and_accept_path():
     state = new_state(MeanTestPolicy(alpha=0.05))
     rng = np.random.default_rng(1)
     first = rng.normal(size=60)
-    warmup(state, first)
+    warm = observe(state, first)
+    assert not warm.retrain and warm.test is None
     assert len(state.reference) == 60
     assert state.r_history == [0]
-    with pytest.raises(AlreadyWarm):
-        warmup(state, first)
 
     nxt = rng.normal(size=60)
-    decision = mean_test_step(state, nxt)
-    assert not decision.retrain
+    decision = observe(state, nxt)
+    assert not decision.retrain and decision.test is not None
     assert len(state.reference) == 120
     assert state.r_history == [0, 0]
     pooled = np.concatenate([first, nxt])
@@ -136,15 +131,13 @@ def test_reject_resets_reference_and_next_batch_rewarms():
     state = new_state(MeanTestPolicy(alpha=0.05))
     rng = np.random.default_rng(2)
     base = rng.normal(size=60)
-    warmup(state, base)
-    decision = mean_test_step(state, base + 1000.0)
+    observe(state, base)
+    decision = observe(state, base + 1000.0)
     assert decision.retrain
     assert state.r_history == [0, 1]
     assert len(state.reference) == 0
-    with pytest.raises(NotWarmedUp):
-        mean_test_step(state, base)
-    follow = observe(state, base)  # the dispatcher warms the fresh reference
-    assert not follow.retrain
+    follow = observe(state, base)  # the empty reference re-warms from this batch
+    assert not follow.retrain and follow.test is None
     assert len(state.reference) == 60
 
 
@@ -152,9 +145,9 @@ def test_reseed_with_rejecting_batch():
     state = new_state(MeanTestPolicy(alpha=0.05, reseed_with_rejecting_batch=True))
     rng = np.random.default_rng(3)
     base = rng.normal(size=60)
-    warmup(state, base)
+    observe(state, base)
     shifted = base + 1000.0
-    assert mean_test_step(state, shifted).retrain
+    assert observe(state, shifted).retrain
     assert len(state.reference) == 60
     assert state.reference.mean == pytest.approx(shifted.mean())
 
@@ -162,17 +155,17 @@ def test_reseed_with_rejecting_batch():
 def test_warmup_input_validation():
     state = new_state(MeanTestPolicy())
     with pytest.raises(InsufficientSample):
-        warmup(state, [])
-    warmup(state, np.ones(60))
+        observe(state, [])
+    observe(state, np.ones(60))
     with pytest.raises(InsufficientSample):
-        mean_test_step(state, [1.0])
+        observe(state, [1.0])
 
 
 def test_single_loss_reference_cannot_be_tested():
     state = new_state(MeanTestPolicy())
-    warmup(state, [1.0])
+    observe(state, [1.0])
     with pytest.raises(InsufficientSample):
-        mean_test_step(state, [1.0, 2.0])
+        observe(state, [1.0, 2.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,7 +254,7 @@ def test_pelt_step_mechanics():
     for i in range(30):
         level = 1.0 if i < 15 else 50.0
         batch = level + 0.1 * rng.normal(size=10)
-        decision = pelt_step(state, batch)
+        decision = observe(state, batch)
         retrains.append(decision.retrain)
     assert not any(retrains[:3])  # history shorter than 2 * min_seg_len
     assert not any(retrains[:15])  # stable regime stays quiet at this penalty
@@ -271,22 +264,17 @@ def test_pelt_step_mechanics():
     assert state.r_history == [int(r) for r in retrains]
 
 
-def test_pelt_step_requires_pelt_policy():
-    with pytest.raises(ValueError):
-        pelt_step(new_state(NeverPolicy()), np.ones(5))
-
-
 # ---------------------------------------------------------------------------
 # Deterministic schedules
 # ---------------------------------------------------------------------------
 
 def test_every_k_schedule():
     state = new_state(EveryKBatches(k=1))
-    flags = [scheduled_step(state).retrain for _ in range(5)]
+    flags = [observe(state, np.ones(4)).retrain for _ in range(5)]
     assert flags == [True] * 5
 
     state = new_state(EveryKBatches(k=3))
-    flags = [scheduled_step(state).retrain for _ in range(9)]
+    flags = [observe(state, np.ones(4)).retrain for _ in range(9)]
     assert flags == [False, False, True] * 3
 
 
@@ -299,6 +287,6 @@ def test_never_schedule():
 
 def test_r_history_tracks_decisions():
     state = new_state(EveryKBatches(k=2))
-    decisions = [scheduled_step(state).retrain for _ in range(7)]
+    decisions = [observe(state, np.ones(4)).retrain for _ in range(7)]
     assert state.r_history == [int(d) for d in decisions]
     assert len(state.r_history) == state.batches_seen

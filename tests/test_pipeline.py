@@ -1,17 +1,23 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from driftmon.errors import ConfigError, InsufficientHistory
 from driftmon.evaluate import build_report
 from driftmon.features import FeatureSpec
-from driftmon.forecasters import ForestParams, HyperParams
+from driftmon.forecasters import BoostingParams, ForestParams, HyperParams
 from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
 from driftmon.pipeline import (
     RunConfig,
     compare_policies,
     comparison_table,
     config_from_dict,
+    config_keys,
     run,
+    run_label,
 )
 from driftmon.simulate import RegimeScenario, gen_regime_streams
 from driftmon.streams import StreamSet
@@ -217,3 +223,102 @@ def test_config_from_dict_rejects_unknown_keys():
     assert "typo_key" in str(exc.value)
     with pytest.raises(ConfigError):
         config_from_dict({})  # no data source
+
+
+def _inline(**overrides):
+    doc = {"data_scenario_inline": tiny_scenario(9).to_dict(), "window_days": 8}
+    doc.update(overrides)
+    return doc
+
+
+# Flat config documents with their config hash and run label. The hash
+# stamps every output file, so changing one changes the outputs.
+PINNED_CONFIGS = [
+    ({"data_csv": "panel.csv"}, "f8f6828b2da5", "forest/mean_test(alpha=0.05)"),
+    ({"data_csv": "panel.csv", "forest_n_trees": 8.0, "alpha": "0.05", "seed": "2"},
+     "7ad249b80a20", "forest/mean_test(alpha=0.05)"),
+    ({"data_csv": "panel.csv", "forest_n_trees": 8, "alpha": 0.05, "seed": 2},
+     "7ad249b80a20", "forest/mean_test(alpha=0.05)"),
+    ({"data_csv": "panel.csv", "forecaster": "naive", "policy": "never"}, "3a7f380f79f6", "naive/never"),
+    (_inline(forecaster="naive", policy="pelt"), "ac0c151c60a8", "naive/pelt"),
+    (_inline(forecaster="naive", policy="pelt", pelt_penalty=12.5, pelt_min_seg_len=4),
+     "1e677b11b692", "naive/pelt(penalty=12.5)"),
+    (_inline(forecaster="lasso", policy="every_k", every_k=3, lasso_n_lambda=20,
+             lasso_lambda_min_ratio=0.01, lasso_tol=1e-7, lasso_max_iter=500),
+     "a966d0b7e7e2", "lasso/every_3"),
+    (_inline(policy="every_k"), "c389f7abb8ed", "forest/every_1"),
+    (_inline(alpha=0.01, max_reference_len=600, reseed_with_rejecting_batch=True,
+             forest_n_trees=8, forest_mtry=3, forest_min_node_size=20, forest_bootstrap=False),
+     "a0e5e080eb79", "forest/mean_test(alpha=0.01)"),
+    (_inline(reseed_with_rejecting_batch=True), "b334ff0dca2c", "forest/mean_test(alpha=0.05)"),
+    (_inline(forecaster="boosting", alpha=0.2, boosting_n_rounds=7, boosting_max_depth=3,
+             boosting_learning_rate=0.1, boosting_min_split_gain=0.5, boosting_colsample=0.5,
+             boosting_min_child_weight=4.0, boosting_subsample=0.8),
+     "d42f7b977a2a", "boosting/mean_test(alpha=0.2)"),
+    ({"data_csv": "panel.csv", "forecaster": "naive", "max_reference_len": 120,
+      "lags": [420, 30, 60], "slots_per_day": 60, "days_per_week": 5, "include_trend": False,
+      "include_hour_dummies": False, "include_dow_dummies": True, "window_days": 10,
+      "slots_per_batch": 30, "horizon": 30, "naive_lag": 60, "seed": 3},
+     "03e29a862f8a", "naive/mean_test(alpha=0.05)"),
+]
+
+
+def test_config_hash_is_stable(tmp_path):
+    hashes = []
+    for doc, expected_hash, expected_label in PINNED_CONFIGS:
+        config = config_from_dict(doc)
+        hashes.append(config.config_hash())
+        assert config.config_hash() == expected_hash, doc
+        assert run_label(config) == expected_label
+        assert config_from_dict({**doc, "out_dir": str(tmp_path)}).config_hash() == expected_hash
+        assert config_from_dict(config.to_flat_dict()).config_hash() == expected_hash
+    assert len(set(hashes)) == len(hashes) - 1  # only the 8.0 / "0.05" / "2" spelling repeats
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(tiny_scenario(9).to_dict()))
+    from_file = config_from_dict({"data_scenario": str(scenario), "window_days": 8})
+    assert from_file.config_hash() == config_from_dict(_inline()).config_hash()
+
+
+# Each of these passed validation once and then crashed in run or was
+# silently changed (a string "false" read as true, 2.9 trees as 2, ...); the
+# flat document and the dataclass holding the value must both reject it.
+BAD_VALUES = [
+    pytest.param({"forecaster": "forest", "forest_mtry": 2.5}, lambda: ForestParams(mtry=2.5),
+                 id="forest_mtry-2.5"),
+    pytest.param({"max_reference_len": 2.5}, lambda: MeanTestPolicy(max_reference_len=2.5),
+                 id="max_reference_len-2.5"),
+    pytest.param({"lags": [60.5, 420]}, lambda: FeatureSpec(lags=(60.5, 420)), id="lags-60.5"),
+    pytest.param({"seed": -1}, lambda: naive_config(NeverPolicy(), seed=-1), id="seed--1"),
+    pytest.param({"forecaster": "boosting", "boosting_min_child_weight": float("nan")},
+                 lambda: BoostingParams(min_child_weight=float("nan")),
+                 id="boosting_min_child_weight-nan"),
+    pytest.param({"include_trend": "false"}, lambda: FeatureSpec(include_trend="false"),
+                 id="include_trend-str"),
+    pytest.param({"forecaster": "forest", "forest_bootstrap": "false"},
+                 lambda: ForestParams(bootstrap="false"), id="forest_bootstrap-str"),
+    pytest.param({"policy": "pelt", "horizon": True},
+                 lambda: naive_config(PeltPolicy(), horizon=True), id="horizon-true"),
+    pytest.param({"forecaster": "forest", "forest_n_trees": 2.9},
+                 lambda: ForestParams(n_trees=2.9), id="forest_n_trees-2.9"),
+    pytest.param({"policy": "pelt", "pelt_penalty": float("nan")},
+                 lambda: PeltPolicy(penalty=float("nan")), id="pelt_penalty-nan"),
+]
+
+
+@pytest.mark.parametrize("bad, construct", BAD_VALUES)
+def test_bad_config_values_fail_validation(bad, construct):
+    with pytest.raises(ConfigError):
+        config_from_dict(_inline(**{"forecaster": "naive", **bad}))
+    with pytest.raises(ConfigError):
+        construct()
+
+
+def test_readme_schema_table_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Run config schema", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", row.split(" | ")[0]))
+    assert keys == config_keys()
+    assert len(keys) == 38

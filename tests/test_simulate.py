@@ -8,7 +8,6 @@ from driftmon.simulate import (
     RegimeScenario,
     _null_study_replication,
     gen_regime_streams,
-    random_source,
     run_null_study,
 )
 
@@ -16,22 +15,22 @@ TINY = dict(stream_length=2_000, batch_size=50, n_replications=8, seed=11)
 
 
 def test_random_source_deterministic():
-    a = random_source(42).gaussian(100)
-    b = random_source(42).gaussian(100)
+    a = RandomSource(42).gaussian(100)
+    b = RandomSource(42).gaussian(100)
     assert np.array_equal(a, b)
-    c = random_source(42).chisquare5(100)
-    d = random_source(42).chisquare5(100)
+    c = RandomSource(42).chisquare5(100)
+    d = RandomSource(42).chisquare5(100)
     assert np.array_equal(c, d)
 
 
 def test_chisquare5_moments():
-    draws = random_source(1).chisquare5(1_000_000)
+    draws = RandomSource(1).chisquare5(1_000_000)
     assert draws.mean() == pytest.approx(5.0, abs=0.02)
     assert np.all(draws >= 0)
 
 
 def test_gaussian_moments():
-    draws = random_source(2).gaussian(1_000_000)
+    draws = RandomSource(2).gaussian(1_000_000)
     assert draws.var() == pytest.approx(1.0, abs=0.01)
     assert draws.mean() == pytest.approx(0.0, abs=0.01)
 

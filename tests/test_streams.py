@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftmon.errors import IncompletePanel, ParseError
-from driftmon.streams import BatchWindow, StreamSet, batch_ends, ingest_csv, write_csv
+from driftmon.streams import StreamSet, batch_ends, ingest_csv, write_csv
 
 
 def make_csv(path, rows, header="tick,stream_id,value", comment=None):
@@ -23,7 +23,7 @@ def test_ingest_complete_grid(tmp_path):
     assert streams.n_ticks == 4
     assert streams.n_streams == 2
     assert streams.stream_ids == ("a", "b")
-    assert streams.value_at(3, 1) == 31.0
+    assert streams.values[3 - 1, 1] == 31.0  # tick 3, stream b
 
 
 def test_ingest_orders_streams_by_first_appearance(tmp_path):
@@ -122,11 +122,3 @@ def test_streamset_is_immutable():
     with pytest.raises(ValueError):
         streams.values[0, 0] = 1.0
 
-
-def test_batch_window():
-    window = BatchWindow(batch_end=60, horizon=60, slots_per_batch=60)
-    assert list(window.target_ticks) == list(range(61, 121))
-    with pytest.raises(ValueError):
-        BatchWindow(batch_end=61, horizon=60, slots_per_batch=60)
-    with pytest.raises(ValueError):
-        BatchWindow(batch_end=60, horizon=0)

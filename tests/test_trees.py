@@ -15,7 +15,6 @@ from driftmon.forecasters import (
     fit_boosting,
     fit_forest,
     grow_tree,
-    predict,
     predict_matrix,
 )
 
@@ -99,7 +98,7 @@ def test_forest_constant_target():
     model = fit_forest(design(X, np.full(30, 5.0)),
                        HyperParams(forest=ForestParams(n_trees=10)), seed=1)
     assert np.allclose(predict_matrix(model, X), 5.0, rtol=1e-12)
-    assert predict(model, X[0]) == pytest.approx(5.0, rel=1e-12)
+    assert predict_matrix(model, X[:1])[0] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_forest_deterministic_given_seed():
@@ -206,7 +205,9 @@ def test_predict_shape_errors():
     data = rand_design(12)
     model = fit_forest(data, HyperParams(forest=ForestParams(n_trees=2, min_node_size=5)), seed=0)
     with pytest.raises(ShapeError):
-        predict(model, np.zeros(data.n_columns + 1))
+        predict_matrix(model, np.zeros(data.n_columns))  # a lone vector, not a row block
+    with pytest.raises(ShapeError):
+        predict_matrix(model, np.zeros((1, data.n_columns + 1)))
     with pytest.raises(ShapeError):
         predict_matrix(model, np.zeros((4, data.n_columns - 1)))
 
@@ -224,7 +225,7 @@ def test_model_dump_mentions_structure():
 # ---------------------------------------------------------------------------
 
 def test_naive_predicts_lagged_own_value():
-    from driftmon.features import FeatureSpec, feature_vector
+    from driftmon.features import FeatureSpec, feature_matrix
     from driftmon.forecasters import fit_naive
     from driftmon.streams import StreamSet
 
@@ -236,7 +237,7 @@ def test_naive_predicts_lagged_own_value():
     spec = FeatureSpec(lags=(60, 420), slots_per_day=60)
     names = spec.column_names(streams.stream_ids)
     model = fit_naive(420, horizon=60, feature_names=names, target_stream="s2")
-    assert predict(model, feature_vector(streams, spec, t)) == 9.0
+    assert predict_matrix(model, feature_matrix(streams, spec, [t]))[0] == 9.0
 
 
 def test_naive_lag_validation():
@@ -261,5 +262,5 @@ def test_lasso_model_predict_and_dump():
     X = rng.normal(size=(120, 4))
     y = 3.0 + 0.0 * X[:, 0]  # constant target: all-zero slopes, intercept 3
     model = fit_lasso(design(X, y), HyperParams())
-    assert predict(model, rng.normal(size=4)) == pytest.approx(3.0)
+    assert predict_matrix(model, rng.normal(size=(1, 4)))[0] == pytest.approx(3.0)
     assert "intercept=3.0" in dump_model(model)
