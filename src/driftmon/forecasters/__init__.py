@@ -1,6 +1,6 @@
 """Forecast models: seasonal-lag naive, lasso, random forest, gradient boosting."""
 
-from .cart import FlatTree, TreeNode, dump_tree, grow_tree, scale_leaf_values
+from .cart import FlatTree, SortedColumns, dump_tree, grow_tree
 from .lasso import LassoFit, coordinate_descent, fit_at_lambda, lasso_path, soft_threshold
 from .models import (
     BoostingParams,

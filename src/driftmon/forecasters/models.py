@@ -3,8 +3,14 @@
 All four model kinds consume the same design-matrix columns so comparisons
 across them are about the learner, not the information set. Every fit is a
 pure function of (data, hyperparameters, seed): ensemble randomness derives
-each tree's generator from (seed, tree index), so training is reproducible
-and parallelizable across trees without changing results.
+each tree's generator from (seed, tree index), and a tree's growth involves
+no other tree's values, so a tree does not depend on how many trees are
+grown beside it.
+
+Forest and boosting both grow their trees with ``cart.grow_tree`` on one
+sort of the design columns per fit (``SortedColumns``): the forest in blocks of
+``FOREST_BLOCK`` trees, boosting one tree per round. An ensemble keeps all
+its trees in one ``FlatTree`` node table and predicts with one walk over it.
 """
 
 from __future__ import annotations
@@ -18,8 +24,13 @@ import numpy as np
 from ..errors import InsufficientData, InvalidLag, ShapeError
 from ..features import DesignMatrix
 from ..schema import check_fields
-from .cart import FlatTree, TreeNode, dump_tree, grow_tree, scale_leaf_values
+from .cart import FlatTree, SortedColumns, dump_tree, grow_tree
 from .lasso import LassoFit, lasso_path
+
+
+# Trees grown together by one forest ``grow_tree`` call: they share each
+# level's numpy calls, and the block's node arrays live until it is done.
+FOREST_BLOCK = 16
 
 
 class ModelKind(str, Enum):
@@ -101,10 +112,14 @@ class NaivePayload:
 
 @dataclass(frozen=True)
 class EnsemblePayload:
-    trees: tuple[TreeNode, ...]
-    flats: tuple[FlatTree, ...]
+    nodes: FlatTree  # every tree of the ensemble, in order
     seed: int
     base: float = 0.0  # boosting initialization; unused by the forest
+
+    @property
+    def flats(self) -> tuple[FlatTree, ...]:
+        """Each tree on its own (views of ``nodes``)."""
+        return tuple(self.nodes.tree(t) for t in range(self.nodes.n_trees))
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,12 @@ def fit_lasso(data: DesignMatrix, hp: HyperParams, trained_at: int = 0) -> Forec
 
 def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
                trained_at: int = 0) -> ForecastModel:
-    """Bagged CART regression trees with per-split feature sampling."""
+    """Bagged CART regression trees with per-split feature sampling.
+
+    Tree t's generator ``default_rng((seed, t))`` draws its bootstrap, then
+    its nodes' candidate features level by level. Trees are grown in blocks
+    of ``FOREST_BLOCK``.
+    """
     n, p = data.X.shape
     params = hp.forest
     if n < params.min_node_size:
@@ -159,21 +179,21 @@ def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
         )
     mtry = params.mtry if params.mtry is not None else max(1, p // 3)
     mtry = min(mtry, p)
-    trees, flats = [], []
-    for t in range(params.n_trees):
-        rng = np.random.default_rng((seed, t))
+    columns = SortedColumns(data.X)
+    blocks = []
+    for first in range(0, params.n_trees, FOREST_BLOCK):
+        rngs = [np.random.default_rng((seed, t))
+                for t in range(first, min(first + FOREST_BLOCK, params.n_trees))]
         if params.bootstrap:
-            rows = np.sort(rng.integers(0, n, size=n))  # sorted for memory locality
+            weights = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                                for rng in rngs])
         else:
-            rows = np.arange(n)
-        root = grow_tree(data.X, data.y, rows, rng=rng, mtry=mtry,
-                         min_leaf=params.min_node_size)
-        trees.append(root)
-        flats.append(FlatTree(root))
+            weights = np.ones((len(rngs), n), dtype=np.intp)
+        blocks.append(grow_tree(data.X, data.y, weights, rngs=rngs, mtry=mtry,
+                                min_leaf=params.min_node_size, columns=columns))
     return ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
                          trained_at=trained_at,
-                         payload=EnsemblePayload(trees=tuple(trees), flats=tuple(flats),
-                                                 seed=seed))
+                         payload=EnsemblePayload(nodes=FlatTree.concat(blocks), seed=seed))
 
 
 def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
@@ -193,25 +213,23 @@ def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
     min_leaf = max(1, math.ceil(params.min_child_weight))
     n_cols = max(1, round(params.colsample * p))
     n_rows = max(1, math.floor(params.subsample * n))
-    trees, flats = [], []
+    columns = SortedColumns(data.X)
+    trees = []
     for m in range(params.n_rounds):
         rng = np.random.default_rng((seed, m))
         rows = np.arange(n) if n_rows == n else rng.choice(n, size=n_rows, replace=False)
         pool = (np.arange(p) if n_cols == p
                 else np.sort(rng.choice(p, size=n_cols, replace=False)))
-        residual = data.y - current
-        root = grow_tree(data.X, residual, rows, rng=rng, mtry=None,
+        tree = grow_tree(data.X, data.y - current, np.bincount(rows, minlength=n),
                          min_leaf=min_leaf, max_depth=params.max_depth,
-                         min_gain=params.min_split_gain, feature_pool=pool)
-        scale_leaf_values(root, params.learning_rate)
-        flat = FlatTree(root)
-        current += flat.predict(data.X)
-        trees.append(root)
-        flats.append(flat)
+                         min_gain=params.min_split_gain, feature_pool=pool, columns=columns)
+        tree.value *= params.learning_rate
+        current += tree.predict(data.X)
+        trees.append(tree)
     return ForecastModel(kind=ModelKind.BOOSTING, feature_names=data.column_names,
                          trained_at=trained_at,
-                         payload=EnsemblePayload(trees=tuple(trees), flats=tuple(flats),
-                                                 seed=seed, base=base))
+                         payload=EnsemblePayload(nodes=FlatTree.concat(trees), seed=seed,
+                                                 base=base))
 
 
 def predict_matrix(model: ForecastModel, X: np.ndarray) -> np.ndarray:
@@ -225,11 +243,9 @@ def predict_matrix(model: ForecastModel, X: np.ndarray) -> np.ndarray:
         return X[:, model.payload.feature_index].copy()
     if model.kind is ModelKind.LASSO:
         return model.payload.intercept + X @ model.payload.slopes
-    out = np.zeros(X.shape[0])
-    for flat in model.payload.flats:
-        out += flat.predict(X)
+    out = model.payload.nodes.predict(X)
     if model.kind is ModelKind.FOREST:
-        out /= len(model.payload.flats)
+        out /= model.payload.nodes.n_trees
     else:
         out += model.payload.base
     return out
@@ -249,7 +265,7 @@ def dump_model(model: ForecastModel) -> str:
     else:
         if model.kind is ModelKind.BOOSTING:
             lines.append(f"base={model.payload.base!r}")
-        for i, tree in enumerate(model.payload.trees):
+        for i, tree in enumerate(model.payload.flats):
             lines.append(f"tree {i}:")
             lines.append(dump_tree(tree, model.feature_names))
     return "\n".join(lines)

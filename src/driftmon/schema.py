@@ -3,8 +3,9 @@
 ``parse_field`` reads a flat JSON value as its field's annotated type
 (``int``, ``float | None``, ``bool``, ``tuple[int, ...]``, ...), accepting
 only lossless spellings such as ``8.0`` or ``"8"`` for an int. The config
-dataclasses call ``check_fields``, which requires each field to be what its
-parser makes of it, so both paths reject the same values.
+dataclasses call ``check_fields``, which stores each field as its parser
+reads it, so both paths reject the same values and equal configs hold (and
+hash) equal values.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ def parse_field(f: Field, key: str, value):
 
 
 def check_fields(obj) -> None:
-    """Raise ConfigError for a typed field of ``obj`` that its parser would change."""
+    """Store each typed field of ``obj`` as its parser reads it.
+
+    A value the parser rejects raises ConfigError. ``obj`` may be frozen.
+    """
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type.removesuffix(" | None") in _PARSERS and parse_field(f, f.name, value) != value:
-            raise ConfigError(f.name, f"must be {f.type}, got {value!r}")
+        if f.type.removesuffix(" | None") in _PARSERS:
+            object.__setattr__(obj, f.name, parse_field(f, f.name, getattr(obj, f.name)))
 
 
 def document_hash(doc: dict) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .monitor import MeanTestPolicy, new_state, observe, row_moments
+from .schema import check_fields
 from .streams import StreamSet
 
 DISTRIBUTIONS = ("gaussian", "chisquare5")
@@ -152,6 +153,7 @@ class RegimeScenario:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_streams < 1 or self.n_days < 1 or self.slots_per_day < 1:
             raise ValueError("n_streams, n_days, slots_per_day must be >= 1")
         if self.base_levels is not None and len(self.base_levels) != self.n_streams:

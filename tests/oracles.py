@@ -62,3 +62,53 @@ def enumerate_segmentations(values, penalty, min_seg_len=2):
                 best_cost = cost
                 best_cps = list(cps)
     return best_cps, best_cost
+
+
+def reference_tree(X, y, weights, min_leaf=1, max_depth=None, min_gain=0.0):
+    """Plain recursive CART with row weights, one node and one feature at a time.
+
+    Every feature is a candidate at every node. A split after sorted position
+    i is admissible when the feature value rises to position i + 1 and both
+    sides keep min_leaf weight; its score is L^2/k + R^2/(n-k) over weighted
+    sums, the first best (lowest feature, then lowest threshold) wins, and it
+    is taken when its SSE reduction exceeds min_gain. The threshold is the
+    midpoint of the two values, or the left value when the midpoint rounds up
+    to the right one. Returns nested tuples: ``("leaf", value, n)`` or
+    ``("split", feature, threshold, n, left, right)``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    weights = np.asarray(weights)
+
+    def grow(rows, depth):
+        w = weights[rows]
+        n = int(w.sum())
+        total = float(np.sum(w * y[rows]))
+        values = y[rows]
+        pure = values.min() == values.max()
+        if pure or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+            return ("leaf", float(values[0]) if pure else total / n, n)
+        best = None
+        for f in range(X.shape[1]):
+            order = rows[np.argsort(X[rows, f], kind="stable")]
+            k, left = 0, 0.0
+            for i in range(order.size - 1):
+                k += int(weights[order[i]])
+                left += float(weights[order[i]] * y[order[i]])
+                v1, v2 = X[order[i], f], X[order[i + 1], f]
+                if v2 <= v1 or k < min_leaf or n - k < min_leaf:
+                    continue
+                score = left * left / k + (total - left) * (total - left) / (n - k)
+                if best is None or score > best[0]:
+                    best = (score, f, v1, v2)
+        if best is None or best[0] - total * total / n <= min_gain:
+            return ("leaf", total / n, n)
+        _, f, v1, v2 = best
+        threshold = 0.5 * (v1 + v2)
+        if threshold >= v2:
+            threshold = v1
+        goes_left = X[rows, f] <= threshold
+        return ("split", f, threshold, n, grow(rows[goes_left], depth + 1),
+                grow(rows[~goes_left], depth + 1))
+
+    return grow(np.flatnonzero(weights > 0), 0)

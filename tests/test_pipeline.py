@@ -322,3 +322,36 @@ def test_readme_schema_table_lists_every_config_key():
             keys.update(re.findall(r"`(\w+)`", row.split(" | ")[0]))
     assert keys == config_keys()
     assert len(keys) == 38
+
+
+# Integral floats in count fields and an int in a float field used to pass
+# validation as given: the counts then crashed run with a TypeError, and the
+# int changed the config hash of an otherwise equal config.
+@pytest.mark.parametrize("overrides", [
+    {"horizon": 60.0},
+    {"source": RegimeScenario(n_streams=2, n_days=30.0, slots_per_day=60, noise_scale=0.0)},
+], ids=["horizon-60.0", "n_days-30.0"])
+def test_integral_float_counts_run(overrides):
+    config = naive_config(NeverPolicy(), **overrides)
+    log = run(config)
+    reference = run(naive_config(NeverPolicy()))
+    assert [r.forecasts.tolist() for r in log.records] == \
+        [r.forecasts.tolist() for r in reference.records]
+    assert isinstance(config.horizon, int) and isinstance(config.source.n_days, int)
+
+
+def test_equal_configs_hash_equal():
+    boosting = RunConfig(source="p.csv", forecaster="boosting")
+    as_int = RunConfig(source="p.csv", forecaster="boosting",
+                       hyperparams=HyperParams(boosting=BoostingParams(min_split_gain=0)))
+    assert as_int == boosting
+    assert as_int.config_hash() == boosting.config_hash() == "3fd27c1bed5c"
+
+
+def test_inline_scenario_with_fractional_count_fails_validation():
+    scenario = tiny_scenario().to_dict()
+    scenario["n_days"] = 30.5
+    with pytest.raises(ConfigError):
+        config_from_dict({"data_scenario_inline": scenario, "window_days": 8})
+    with pytest.raises(ConfigError):
+        RegimeScenario(n_days=30.5)

@@ -8,7 +8,6 @@ from driftmon.errors import InsufficientData, ShapeError
 from driftmon.features import DesignMatrix
 from driftmon.forecasters import (
     BoostingParams,
-    FlatTree,
     ForestParams,
     HyperParams,
     dump_model,
@@ -17,6 +16,7 @@ from driftmon.forecasters import (
     grow_tree,
     predict_matrix,
 )
+from oracles import reference_tree
 
 
 def design(X, y):
@@ -32,6 +32,32 @@ def rand_design(seed, n=80, p=6):
     return design(X, y)
 
 
+def nested(tree, i=None):
+    """A tree's nodes as the nested tuples ``oracles.reference_tree`` returns."""
+    i = int(tree.roots[0]) if i is None else i
+    if tree.feature[i] < 0:
+        return ("leaf", float(tree.value[i]), int(tree.n_samples[i]))
+    left = i + int(tree.child[i])
+    return ("split", int(tree.feature[i]), float(tree.threshold[i]), int(tree.n_samples[i]),
+            nested(tree, left), nested(tree, left + 1))
+
+
+def assert_same_tree(got, want):
+    """Same splits and counts exactly; leaf values within 1e-12 relative."""
+    assert got[0] == want[0]
+    if got[0] == "leaf":
+        assert got[2] == want[2]
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-300)
+    else:
+        assert got[1:4] == want[1:4]
+        assert_same_tree(got[4], want[4])
+        assert_same_tree(got[5], want[5])
+
+
+def ones(n):
+    return np.ones(n, dtype=int)
+
+
 # ---------------------------------------------------------------------------
 # Single trees
 # ---------------------------------------------------------------------------
@@ -45,48 +71,133 @@ def test_fully_grown_tree_memorizes_distinct_rows():
 
 
 def test_split_threshold_is_midpoint():
-    root = grow_tree(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.arange(2))
-    assert root.split_threshold == 0.5
-    assert root.left.leaf_value == 0.0
-    assert root.right.leaf_value == 1.0
+    tree = grow_tree(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), ones(2))
+    assert tree.threshold[0] == 0.5
+    left = tree.child[0]
+    assert tree.value[left] == 0.0
+    assert tree.value[left + 1] == 1.0
+
+
+def test_midpoint_rounding_up_falls_back_to_left_value():
+    v1, v2 = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+    assert 0.5 * (v1 + v2) == v2
+    tree = grow_tree(np.array([[v1], [v2]]), np.array([0.0, 1.0]), ones(2))
+    assert tree.threshold[0] == v1
 
 
 def test_tie_break_prefers_lowest_feature_then_threshold():
     # identical columns give identical gains; the split must use feature 0
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    root = grow_tree(X, y, np.arange(4))
-    assert root.split_feature == 0
-    assert root.split_threshold == 1.5
+    tree = grow_tree(X, y, ones(4))
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 1.5
 
 
 def test_max_depth_limits_growth():
     data = rand_design(1, n=120)
-    root = grow_tree(data.X, data.y, np.arange(120), max_depth=2)
-    flat = FlatTree(root)
-    assert flat.depth <= 2
+    tree = grow_tree(data.X, data.y, ones(120), max_depth=2)
+    assert tree.depth <= 2
 
 
 def test_constant_target_keeps_single_leaf():
     X = np.random.default_rng(2).normal(size=(40, 3))
-    root = grow_tree(X, np.full(40, 3.7), np.arange(40))
-    assert root.is_leaf
-    assert root.leaf_value == pytest.approx(3.7, rel=1e-12)
+    tree = grow_tree(X, np.full(40, 3.7), ones(40))
+    assert tree.feature.tolist() == [-1]
+    assert tree.value[0] == pytest.approx(3.7, rel=1e-12)
 
 
 def test_flat_tree_matches_node_walk():
     data = rand_design(3, n=150)
-    root = grow_tree(data.X, data.y, np.arange(150), min_leaf=5)
-    flat = FlatTree(root)
+    tree = grow_tree(data.X, data.y, ones(150), min_leaf=5)
 
-    def walk(node, row):
-        while not node.is_leaf:
-            node = node.left if row[node.split_feature] <= node.split_threshold else node.right
-        return node.leaf_value
+    def walk(row):
+        i = 0
+        while tree.feature[i] >= 0:
+            i += tree.child[i] + (row[tree.feature[i]] > tree.threshold[i])
+        return tree.value[i]
 
-    preds = flat.predict(data.X)
+    preds = tree.predict(data.X)
     for i in range(0, 150, 7):
-        assert preds[i] == walk(root, data.X[i])
+        assert preds[i] == walk(data.X[i])
+
+
+# Designs with ties: a few distinct values (two of them adjacent floats whose
+# midpoint rounds up), so columns repeat values, rows repeat and columns can be
+# constant. Integer targets and weights make every weighted sum exact in any
+# order, so the grower and the reference score each split identically.
+_values = st.sampled_from([-3.0, 0.0, 1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 2.5])
+
+
+@st.composite
+def weighted_designs(draw):
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n, p), elements=_values))
+    y = draw(arrays(np.float64, n, elements=st.integers(-6, 6).map(float)))
+    n_trees = draw(st.integers(1, 3))
+    weights = draw(arrays(np.int64, (n_trees, n), elements=st.integers(0, 3)))
+    weights[:, draw(st.integers(0, n - 1))] += 1
+    return X, y, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=weighted_designs(), min_leaf=st.integers(1, 4),
+       max_depth=st.sampled_from([None, 1, 2, 3]), min_gain=st.sampled_from([0.0, 0.5, 4.0]))
+def test_grower_matches_recursive_reference(data, min_leaf, max_depth, min_gain):
+    X, y, weights = data
+    block = grow_tree(X, y, weights, min_leaf=min_leaf, max_depth=max_depth, min_gain=min_gain)
+    assert block.n_trees == weights.shape[0]
+    for t in range(weights.shape[0]):
+        want = reference_tree(X, y, weights[t], min_leaf=min_leaf, max_depth=max_depth,
+                              min_gain=min_gain)
+        assert_same_tree(nested(block.tree(t)), want)
+
+
+def assert_same_arrays(a, b):
+    for name in ("feature", "threshold", "child", "value", "n_samples", "depths"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_forest_tree_does_not_depend_on_its_block():
+    data = rand_design(20, n=90)
+    small = fit_forest(data, HyperParams(forest=ForestParams(n_trees=8, min_node_size=3)), seed=7)
+    large = fit_forest(data, HyperParams(forest=ForestParams(n_trees=20, min_node_size=3)), seed=7)
+    for a, b in zip(small.payload.flats, large.payload.flats[:8]):
+        assert_same_arrays(a, b)
+
+
+def test_tree_grown_alone_equals_tree_grown_after_others():
+    # Column 1 mirrors column 0, so every split of one has an equal-gain twin
+    # in the other whose running sums add the same targets in the opposite
+    # order: which one wins rests on rounding, and a running sum carried over
+    # from the block's earlier trees would flip some of them.
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=200)
+    X = np.column_stack([x, -x, rng.normal(size=200)])
+    y = 1000.0 + rng.normal(size=200)
+    weights = np.array([np.bincount(rng.integers(0, 200, size=200), minlength=200)
+                        for _ in range(6)])
+    block = grow_tree(X, y, weights, min_leaf=2)
+    for t in range(6):
+        assert_same_arrays(grow_tree(X, y, weights[t], min_leaf=2), block.tree(t))
+
+
+def test_ensemble_walk_equals_per_tree_sum_in_order():
+    data = rand_design(21, n=100)
+    X = np.random.default_rng(22).normal(size=(37, data.n_columns))
+    forest = fit_forest(data, HyperParams(forest=ForestParams(n_trees=23, min_node_size=2)),
+                        seed=3)
+    boosting = fit_boosting(data, HyperParams(boosting=BoostingParams(n_rounds=15)), seed=3)
+    for model in (forest, boosting):
+        total = np.zeros(X.shape[0])
+        for flat in model.payload.flats:
+            total += flat.predict(X)
+        if model is forest:
+            total /= len(model.payload.flats)
+        else:
+            total += model.payload.base
+        assert np.array_equal(predict_matrix(model, X), total)
 
 
 # ---------------------------------------------------------------------------
