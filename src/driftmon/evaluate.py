@@ -4,7 +4,8 @@ Two losses play distinct roles: squared errors feed the monitoring test
 batch by batch, while the bounded symmetric percentage error (sape) is the
 reporting metric, averaged into a per-stream SMAPE. Everything a report
 needs is read from the append-only RunLog, which records forecasts, actuals,
-losses, monitor decisions and retrain timings for every evaluation batch.
+monitor decisions and retrain timings for every evaluation batch; a record's
+losses are derived from its forecasts and actuals, not stored.
 """
 
 from __future__ import annotations
@@ -81,14 +82,19 @@ def sape_values(actuals: np.ndarray, forecasts: np.ndarray) -> np.ndarray:
 # Run log
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchRecord:
+    """One stream's evaluation batch: forecasts, actuals and the decision on it.
+
+    ``actuals`` may be a read-only view into the panel (the pipeline stores
+    its column of the batch's rows), so records share the panel's memory.
+    """
+
     stream_id: str
     batch_index: int       # 1-based evaluation batch ordinal
     batch_end: int         # tick at which the batch completed
     forecasts: np.ndarray
     actuals: np.ndarray
-    losses: np.ndarray
     policy: str
     decision: str          # warmup | accept | reject | hold | retrain | final
     retrain: bool
@@ -96,6 +102,11 @@ class BatchRecord:
     statistic: float | None
     model_token: str
     retrain_seconds: float = 0.0
+
+    @property
+    def losses(self) -> np.ndarray:
+        """Squared errors, the expression ``squared_loss_batch`` uses, so bit-identical."""
+        return (self.actuals - self.forecasts) ** 2
 
 
 @dataclass
@@ -268,11 +279,12 @@ def write_runlog(log: RunLog, outdir: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(["stream_id", "batch_index", "q", "tick", "forecast", "actual", "loss"])
         for r in log.records:
+            losses = r.losses
             for q in range(r.forecasts.size):
                 writer.writerow([
                     r.stream_id, r.batch_index, q + 1, r.batch_end - r.forecasts.size + q + 1,
                     repr(float(r.forecasts[q])), repr(float(r.actuals[q])),
-                    repr(float(r.losses[q])),
+                    repr(float(losses[q])),
                 ])
     with open(os.path.join(outdir, "events.csv"), "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# {stamp}\n")
@@ -291,33 +303,34 @@ def write_runlog(log: RunLog, outdir: str) -> None:
 
 
 def read_runlog(outdir: str) -> RunLog:
-    """Rebuild a RunLog from the files written by write_runlog."""
+    """Rebuild a RunLog from the files written by write_runlog.
+
+    The files are read line by line. The ``loss`` column is not read back:
+    a record derives its losses from the forecasts and actuals.
+    """
     per_batch: dict[tuple[str, int], dict] = {}
 
     def rows(name):
         with open(os.path.join(outdir, name), newline="", encoding="utf-8") as handle:
-            lines = [ln for ln in handle if ln.strip() and not ln.lstrip().startswith("#")]
-        reader = csv.reader(lines)
-        header = next(reader)
-        for row in reader:
-            yield dict(zip(header, row))
+            reader = csv.reader(ln for ln in handle
+                                if ln.strip() and not ln.lstrip().startswith("#"))
+            header = next(reader)
+            for row in reader:
+                yield dict(zip(header, row))
 
     stream_order: list[str] = []
     for row in rows("forecasts.csv"):
         key = (row["stream_id"], int(row["batch_index"]))
-        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "losses": [],
-                                           "ticks": []})
+        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "ticks": []})
         entry["forecasts"].append(float(row["forecast"]))
         entry["actuals"].append(float(row["actual"]))
-        entry["losses"].append(float(row["loss"]))
         entry["ticks"].append(int(row["tick"]))
         if row["stream_id"] not in stream_order:
             stream_order.append(row["stream_id"])
     policy_name = ""
     for row in rows("events.csv"):
         key = (row["stream_id"], int(row["batch_index"]))
-        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "losses": [],
-                                           "ticks": []})
+        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "ticks": []})
         entry["policy"] = row["policy"]
         entry["decision"] = row["decision"]
         entry["p_value"] = float(row["p_value"]) if row["p_value"] else None
@@ -341,7 +354,6 @@ def read_runlog(outdir: str) -> RunLog:
             batch_end=max(entry["ticks"]) if entry["ticks"] else 0,
             forecasts=np.array(entry["forecasts"]),
             actuals=np.array(entry["actuals"]),
-            losses=np.array(entry["losses"]),
             policy=entry.get("policy", ""),
             decision=decision,
             retrain=decision in RETRAIN_LABELS,

@@ -12,7 +12,10 @@ should be refit:
   batch that caused the rejection.
 * PeltPolicy: run an exact penalized changepoint segmentation over the
   per-batch mean losses accumulated since the last retrain; a detected
-  changepoint triggers retraining and restarts the history after it.
+  changepoint triggers retraining and restarts the history after it. The
+  history (a PeltHistory) carries the segment costs of earlier steps, so
+  each step computes only the costs it has not seen; the search itself
+  re-runs every step, because the default penalty changes with every batch.
 * EveryKBatches / NeverPolicy: deterministic schedules.
 
 Each policy class implements the Policy interface (its step, decision label,
@@ -149,13 +152,37 @@ class ReferenceBatch:
                 self.n, self.mean, self._m2 = kept.n, kept.mean, kept.m2
 
 
+class PeltHistory(list):
+    """Per-batch mean losses since the last retrain, with their segment costs.
+
+    ``costs[end][start]`` is the segment cost of ``self[start:end]``. A cost
+    depends on the values alone, not on the penalty, and the history only
+    grows, so ``pelt`` fills the cache on a miss and every later search on
+    this history reuses it. Keyed per end, then per start: tuple keys cost
+    twice the memory. Only ``append`` and ``after`` keep the cache valid.
+    """
+
+    __slots__ = ("costs",)
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self.costs: dict[int, dict[int, float]] = {}
+
+    def after(self, start: int) -> PeltHistory:
+        """The history from ``start`` on, with the cached costs that lie inside it."""
+        rest = PeltHistory(self[start:])
+        rest.costs = {end - start: {tau - start: c for tau, c in row.items() if tau >= start}
+                      for end, row in self.costs.items() if end > start}
+        return rest
+
+
 @dataclass
 class MonitorState:
     """Streaming state of one stream's updating policy."""
 
     policy: Policy
     reference: ReferenceBatch
-    loss_history: list[float] = field(default_factory=list)
+    loss_history: PeltHistory = field(default_factory=PeltHistory)
     r_history: list[int] = field(default_factory=list)
     batches_seen: int = 0
     last_retrain: int = 0
@@ -308,7 +335,7 @@ class PeltPolicy(Policy):
             changepoints, _ = pelt(state.loss_history, self.penalty_for(state.batches_seen),
                                    self.min_seg_len)
         if changepoints:
-            state.loss_history = state.loss_history[changepoints[-1]:]
+            state.loss_history = state.loss_history.after(changepoints[-1])
         state.record(bool(changepoints))
         return MonitorDecision(retrain=bool(changepoints),
                                detected_changepoints=tuple(changepoints))
@@ -372,6 +399,10 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     the search linear-ish without giving up exactness, provided the cost is
     subadditive (splitting a segment never increases the summed cost), which
     holds for the Gaussian cost used here.
+
+    ``cost`` is called only for segments whose cost is not cached yet: a
+    PeltHistory keeps its costs across calls (the caller keeps ``cost`` the
+    same for one history), any other sequence starts with an empty cache.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -381,9 +412,13 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     if n < L:
         raise InsufficientSample(f"need >= {L} points, got {n}")
 
-    F = np.full(n + 1, np.inf)
+    costs = getattr(values, "costs", None)
+    if costs is None:
+        costs = {}
+    penalty = float(penalty)  # F holds Python floats: float64 sums, as in an array
+    F = [math.inf] * (n + 1)
     F[0] = -penalty
-    prev = np.zeros(n + 1, dtype=int)
+    prev = [0] * (n + 1)
     candidates: list[int] = []
     # A dominated candidate tau stays usable until step s + L: the dominating
     # candidate s only becomes admissible once the segment after it can reach
@@ -393,13 +428,17 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
         t_new = s - L
         if t_new == 0 or t_new >= L:
             candidates.append(t_new)
+        known = costs.setdefault(s, {})
         active: list[int] = []
         seg_costs: list[float] = []
         for tau in candidates:
             if remove_at.get(tau, n + L + 1) <= s:
                 continue
             active.append(tau)
-            seg_costs.append(cost(x[tau:s]))
+            c = known.get(tau)
+            if c is None:
+                c = known[tau] = cost(x[tau:s])
+            seg_costs.append(c)
         best = math.inf
         best_tau = active[0]
         for tau, c in zip(active, seg_costs):
@@ -417,7 +456,7 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     changepoints = []
     t = n
     while t > 0:
-        tau = int(prev[t])
+        tau = prev[t]
         if tau > 0:
             changepoints.append(tau)
         t = tau

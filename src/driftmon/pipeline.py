@@ -277,8 +277,8 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
                 seconds = refit(i, b) if decision.retrain else 0.0
                 log.append(BatchRecord(
                     stream_id=streams.stream_ids[i], batch_index=idx,
-                    batch_end=origin + Q, forecasts=forecasts, actuals=actuals.copy(),
-                    losses=loss.losses, policy=config.policy.name,
+                    batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
+                    policy=config.policy.name,
                     decision=config.policy.label(decision),
                     retrain=decision.retrain,
                     p_value=decision.test.p_value if decision.test else None,
@@ -293,12 +293,13 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
     origin = ends[-1]
     actual_rows = streams.values[origin:origin + Q, :]
     for i in range(n_streams):
-        loss = squared_loss_batch(actual_rows[:, i], pending[i], batch_index=len(ends),
-                                  stream_id=streams.stream_ids[i])
+        # checks the final forecasts as every earlier batch's are checked
+        squared_loss_batch(actual_rows[:, i], pending[i], batch_index=len(ends),
+                           stream_id=streams.stream_ids[i])
         log.append(BatchRecord(
             stream_id=streams.stream_ids[i], batch_index=len(ends),
-            batch_end=origin + Q, forecasts=pending[i], actuals=actual_rows[:, i].copy(),
-            losses=loss.losses, policy=config.policy.name, decision="final",
+            batch_end=origin + Q, forecasts=pending[i], actuals=actual_rows[:, i],
+            policy=config.policy.name, decision="final",
             retrain=False, p_value=None, statistic=None, model_token=tokens[i],
         ))
     return log

@@ -9,7 +9,11 @@ runtime needs no external numerics library.
 A degenerate branch handles the zero-variance corner that squared-error
 losses of a perfect forecaster can produce: when both sample variances fall
 below 1e-12 the decision reduces to comparing means with a 1e-9 gap, and the
-p-value is pinned to 0 or 1.
+p-value is pinned to 0 or 1. Both thresholds are relative to the samples'
+magnitude, sqrt(mean1² + mean2² + var1 + var2), so rescaling both samples by
+a power of two leaves the decision unchanged. Moments far from 1 are first
+divided by a power of two, which is exact and leaves the statistic as it
+is, so that no square in the test under- or overflows.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 from .errors import InsufficientSample
 
+# Relative: to the squared magnitude of the samples and to their magnitude.
 DEGENERATE_VAR = 1e-12
 DEGENERATE_MEAN_GAP = 1e-9
 RSS_FLOOR = 1e-12
@@ -136,10 +141,17 @@ def welch_test_from_moments(n1: int, mean1: float, var1: float,
     """
     if n1 < 2 or n2 < 2:
         raise InsufficientSample(f"need >= 2 observations per sample, got {n1} and {n2}")
+    size = mean1 * mean1 + mean2 * mean2 + var1 + var2
+    if not 1e-100 < size < 1e100:
+        # keep the squares here and in the Welch dof from under- or overflowing
+        _, exp = math.frexp(max(abs(mean1), abs(mean2), math.sqrt(max(var1, var2))))
+        mean1, mean2 = math.ldexp(mean1, -exp), math.ldexp(mean2, -exp)
+        var1, var2 = math.ldexp(var1, -2 * exp), math.ldexp(var2, -2 * exp)
+        size = mean1 * mean1 + mean2 * mean2 + var1 + var2
     diff = mean1 - mean2
-    if var1 < DEGENERATE_VAR and var2 < DEGENERATE_VAR:
+    if var1 <= DEGENERATE_VAR * size and var2 <= DEGENERATE_VAR * size:
         dof = float(n1 + n2 - 2)
-        if abs(diff) > DEGENERATE_MEAN_GAP:
+        if diff * diff > DEGENERATE_MEAN_GAP ** 2 * size:
             stat = math.copysign(math.inf, diff)
             return TestResult(statistic=stat, dof=dof, p_value=0.0, reject=0.0 < alpha)
         return TestResult(statistic=0.0, dof=dof, p_value=1.0, reject=1.0 < alpha)
@@ -153,11 +165,18 @@ def welch_test_from_moments(n1: int, mean1: float, var1: float,
 
 
 def mean_equality_test(a, b, alpha: float) -> TestResult:
-    """Two-sided Welch test of H0: the two samples share a mean."""
+    """Two-sided Welch test of H0: the two samples share a mean.
+
+    The samples are first divided by the power of two just above their
+    largest magnitude. That is exact, and it keeps tiny samples' variances
+    out of the subnormal range, where they would lose precision.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise InsufficientSample(f"need >= 2 observations per sample, got {a.size} and {b.size}")
+    _, exp = math.frexp(float(max(np.abs(a).max(), np.abs(b).max())))
+    a, b = np.ldexp(a, -exp), np.ldexp(b, -exp)
     return welch_test_from_moments(
         a.size, float(a.mean()), float(a.var(ddof=1)),
         b.size, float(b.mean()), float(b.var(ddof=1)),

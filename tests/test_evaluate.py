@@ -30,7 +30,6 @@ def record(stream, batch, forecasts, actuals, retrain=False, decision=None, seco
     return BatchRecord(
         stream_id=stream, batch_index=batch, batch_end=batch * len(forecasts),
         forecasts=forecasts, actuals=actuals,
-        losses=(actuals - forecasts) ** 2,
         policy="mean_test", decision=decision or ("reject" if retrain else "accept"),
         retrain=retrain, p_value=0.01 if retrain else 0.5,
         statistic=2.0 if retrain else 0.1, model_token="m@0#0",
@@ -157,6 +156,33 @@ def test_runlog_roundtrip(tmp_path):
         assert one.smape == pytest.approx(mine.smape, rel=1e-12)
         assert one.n_breaks == mine.n_breaks
         assert one.retrain_seconds == pytest.approx(mine.retrain_seconds)
+
+
+def test_record_losses_are_the_squared_loss_batch_values():
+    rng = np.random.default_rng(2)
+    forecasts, actuals = rng.normal(size=7), rng.normal(size=7)
+    r = record("a", 1, forecasts, actuals)
+    assert np.array_equal(r.losses, squared_loss_batch(actuals, forecasts).losses)
+    assert not hasattr(r, "__dict__")
+
+
+def test_read_runlog_derives_losses_and_ignores_loss_column(tmp_path):
+    log = RunLog(stream_ids=("a",), horizon=3, policy_name="mean_test",
+                 forecaster="naive", seed=0)
+    log.append(record("a", 1, [0.1, 0.2, 0.3], [1.0, -2.0, 1e-3]))
+    out = tmp_path / "log"
+    write_runlog(log, str(out))
+    path = out / "forecasts.csv"
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[-1] == "loss"
+    written = [float(line.split(",")[-1]) for line in lines[2:]]
+    assert np.array_equal(written, log.records[0].losses)
+    # a corrupted loss column does not reach the rebuilt record
+    path.write_text("\n".join(lines[:2] + [line.rsplit(",", 1)[0] + ",-1.0" for line in lines[2:]])
+                    + "\n")
+    again = read_runlog(str(out)).records[0]
+    assert np.array_equal(again.losses, log.records[0].losses)
 
 
 def test_report_files(tmp_path):

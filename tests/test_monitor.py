@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from driftmon import monitor
 from driftmon.errors import InsufficientSample
 from driftmon.monitor import (
     EveryKBatches,
     MeanTestPolicy,
     NeverPolicy,
+    PeltHistory,
     PeltPolicy,
     ReferenceBatch,
     batch_moments,
@@ -262,6 +264,88 @@ def test_pelt_step_mechanics():
     first_hit = retrains.index(True)
     assert len(state.loss_history) < first_hit + 1  # history restarted after the changepoint
     assert state.r_history == [int(r) for r in retrains]
+
+
+def _segment_start(segment) -> int:
+    """Index of a segment's first value in the array pelt sliced it from."""
+    return (segment.ctypes.data - segment.base.ctypes.data) // segment.itemsize
+
+
+@settings(max_examples=60, deadline=None)
+@given(regimes=st.lists(st.tuples(st.integers(1, 25), st.floats(0.0, 20.0)),
+                        min_size=1, max_size=4),
+       noise=st.floats(0.0, 2.0),
+       penalty=st.one_of(st.none(), st.floats(0.5, 40.0)),
+       min_seg_len=st.integers(2, 5),
+       seed=st.integers(0, 2**16))
+def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, min_seg_len,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    means = np.concatenate([level + noise * rng.normal(size=length)
+                            for length, level in regimes])
+    real_pelt = monitor.pelt
+    seen: dict[tuple[int, int], int] = {}
+    batches = 0
+
+    def checked_pelt(values, penalty, min_seg_len=2, cost=monitor.gaussian_segment_cost):
+        origin = batches - len(values)  # batch ordinal of values[0]
+
+        def counting_cost(segment):
+            start = origin + _segment_start(segment)
+            key = (start, start + segment.size)
+            seen[key] = seen.get(key, 0) + 1
+            return cost(segment)
+
+        assert isinstance(values, PeltHistory)
+        got = real_pelt(values, penalty, min_seg_len, counting_cost)
+        assert got == real_pelt(list(values), penalty, min_seg_len)
+        return got
+
+    state = new_state(PeltPolicy(penalty=penalty, min_seg_len=min_seg_len))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitor, "pelt", checked_pelt)
+        for value in means:
+            batches += 1
+            observe(state, np.array([value]))
+    # costs survive both the later steps and the rebase after a changepoint
+    assert all(count == 1 for count in seen.values())
+    history = state.loss_history
+    assert list(history) == means[len(means) - len(history):].tolist()
+    for end, row in history.costs.items():
+        for start, c in row.items():
+            assert c == monitor.gaussian_segment_cost(np.asarray(history)[start:end])
+
+
+def test_pelt_on_a_plain_sequence_starts_a_fresh_cache():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=40)
+    x[20:] += 4.0
+    calls = []
+
+    def counting_cost(segment):
+        calls.append((_segment_start(segment), segment.size))
+        return monitor.gaussian_segment_cost(segment)
+
+    first = pelt(list(x), 6.0, 2, counting_cost)
+    n_first = len(calls)
+    assert pelt(list(x), 6.0, 2, counting_cost) == first
+    assert len(calls) == 2 * n_first  # nothing was kept between the calls
+    assert len(set(calls[:n_first])) == n_first
+    history = PeltHistory(x)
+    assert pelt(history, 6.0, 2, counting_cost) == first
+    assert pelt(history, 9.0, 2, counting_cost) == pelt(x, 9.0)
+    assert pelt(history, 6.0, 2, counting_cost) == first
+    assert len(set(calls[2 * n_first:])) == len(calls) - 2 * n_first  # no pair twice
+
+
+def test_pelt_history_after_keeps_only_costs_inside():
+    history = PeltHistory([1.0, 2.0, 4.0, 8.0, 16.0])
+    pelt(history, 1.0)
+    rest = history.after(2)
+    assert list(rest) == [4.0, 8.0, 16.0]
+    assert rest.costs == {end - 2: {start - 2: c for start, c in row.items() if start >= 2}
+                          for end, row in history.costs.items() if end > 2}
+    assert rest.costs[3][0] == history.costs[5][2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftmon.errors import ConfigError, InsufficientHistory
-from driftmon.evaluate import build_report
+from driftmon.evaluate import build_report, read_runlog, write_runlog
 from driftmon.features import FeatureSpec
 from driftmon.forecasters import BoostingParams, ForestParams, HyperParams
 from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
@@ -16,6 +16,7 @@ from driftmon.pipeline import (
     comparison_table,
     config_from_dict,
     config_keys,
+    materialize,
     run,
     run_label,
 )
@@ -205,6 +206,30 @@ def test_pelt_pipeline_smoke():
                        feature_spec=SMALL_SPEC, window_days=8, seed=8)
     log = run(config)
     assert any(r.retrain for r in log.records)
+
+
+def test_lean_records_share_the_panel_and_round_trip(tmp_path):
+    scen = RegimeScenario(n_streams=3, n_days=30, slots_per_day=60,
+                          level_shifts=((20, 1, 3.0),), noise_scale=1.0, seed=12)
+    config = RunConfig(source=scen, forecaster="naive", policy=PeltPolicy(min_seg_len=2),
+                       feature_spec=SMALL_SPEC, window_days=8, seed=12)
+    panel = materialize(config)
+    log = run(config, stream_set=panel)
+    assert any(r.retrain for r in log.records)
+    for r in log.records:
+        # a column of a (ticks, 3) panel: a strided, read-only view, no copy
+        assert np.shares_memory(r.actuals, panel.values)
+        assert r.actuals.strides != (r.actuals.itemsize,)
+        assert not r.actuals.flags.writeable
+        assert not hasattr(r, "__dict__")
+    write_runlog(log, str(tmp_path))
+    again = read_runlog(str(tmp_path))
+    assert len(again.records) == len(log.records)
+    for mine, read in zip(log.records, again.records):
+        assert (read.stream_id, read.batch_index) == (mine.stream_id, mine.batch_index)
+        assert np.array_equal(read.forecasts, mine.forecasts)
+        assert np.array_equal(read.actuals, mine.actuals)
+        assert np.array_equal(read.losses, mine.losses)
 
 
 def test_flat_config_roundtrip():

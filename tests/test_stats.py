@@ -52,6 +52,33 @@ def test_degenerate_branches():
     assert math.isinf(far.statistic) and far.statistic < 0
 
 
+@pytest.mark.parametrize("log2c", [0, -6, -30, 30])
+def test_degenerate_branch_is_scale_free(log2c):
+    # a variance below an absolute floor at one scale but not at another
+    # used to send one of these to the degenerate branch and not the other
+    c = 2.0 ** log2c
+    a, b = np.array([0.0, 0.0]), np.array([0.0, 6.103515625e-05])
+    base = mean_equality_test(a, b, alpha=0.05)
+    assert not base.reject and base.statistic == -1.0 and base.p_value > 0.05
+    assert mean_equality_test(c * a, c * b, alpha=0.05) == base
+    # the moments form, which the monitor calls, decides the same way
+    moments = [(x.size, float(x.mean()), float(x.var(ddof=1))) for x in (c * a, c * b)]
+    assert welch_test_from_moments(*moments[0], *moments[1], alpha=0.05) == base
+    # constant samples stay degenerate at every scale
+    far = mean_equality_test(c * np.zeros(4), c * np.full(4, 1e-5), alpha=0.05)
+    assert far.reject and far.p_value == 0.0 and far.statistic == -math.inf
+    near = mean_equality_test(c * np.ones(3), c * np.ones(3), alpha=0.05)
+    assert not near.reject and near.p_value == 1.0
+
+
+def test_tiny_samples_do_not_underflow_the_welch_test():
+    a = np.array([1.0, 2.0, 3.0, 4.0])
+    b = np.array([2.0, 3.0, 5.0, 7.0])
+    base = mean_equality_test(a, b, alpha=0.05)
+    for c in (2.0 ** -1000, 2.0 ** -1060, 2.0 ** 1000):
+        assert mean_equality_test(c * a, c * b, alpha=0.05) == base
+
+
 def test_insufficient_samples():
     with pytest.raises(InsufficientSample):
         mean_equality_test([1.0], [1.0, 2.0], alpha=0.05)
