@@ -1,15 +1,16 @@
 """Command-line surface: run pipelines, size studies, data generation, reports.
 
 Exit codes: 0 success, 2 configuration or usage error, 1 runtime error.
-All output files are flat CSV/JSON stamped with the config hash and seed so
-re-runs are verifiable; wall-clock timing columns are the only exception to
-byte-identical reproduction.
+Outputs are flat CSV/JSON. The run log, report.csv, the panel CSV and the
+null-study CSV start with a config-hash-and-seed stamp so re-runs are
+verifiable; wall-clock timing columns are the only exception to
+byte-identical reproduction, and ``report`` rebuilds a run's report files
+byte for byte from its run log.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -18,7 +19,7 @@ from .evaluate import build_report, read_runlog, write_report_csv, write_report_
 from .pipeline import compare_policies, comparison_table, load_config, run
 from .schema import document_hash, read_json
 from .simulate import DISTRIBUTIONS, NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study
-from .streams import write_csv
+from .streams import write_csv, write_table
 
 
 def _write_report_files(report, out_dir: str, stamp: str) -> None:
@@ -32,9 +33,8 @@ def _cmd_run(args) -> int:
     log = run(config)
     report = build_report(log)
     out_dir = args.out or config.out_dir or "driftmon_out"
-    stamp = f"config_hash={log.config_hash} seed={log.seed}"
     write_runlog(log, out_dir)
-    _write_report_files(report, out_dir, stamp)
+    _write_report_files(report, out_dir, log.stamp)
     for s in report.streams:
         print(f"{s.stream_id}: smape={s.smape:.2f} breaks={s.n_breaks}")
     print(f"average: smape={report.avg_smape:.2f} breaks={report.avg_breaks:.2f}")
@@ -49,17 +49,12 @@ def _cmd_compare(args) -> int:
     out_dir = args.out or "driftmon_out"
     os.makedirs(out_dir, exist_ok=True)
     labels = [cr.label for cr in runs]
-    table_path = os.path.join(out_dir, "comparison.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["stream_id"] + labels)
-        for row in rows:
-            writer.writerow([row["stream_id"]] + [repr(row[label]) for label in labels])
+    write_table(os.path.join(out_dir, "comparison.csv"), ["stream_id"] + labels,
+                ([row["stream_id"]] + [repr(row[label]) for label in labels] for row in rows))
     for cr in runs:
         sub = os.path.join(out_dir, cr.label.replace("/", "_"))
         write_runlog(cr.log, sub)
-        _write_report_files(cr.report, sub,
-                            f"config_hash={cr.log.config_hash} seed={cr.log.seed}")
+        _write_report_files(cr.report, sub, cr.log.stamp)
     header = "stream_id".ljust(12) + "".join(label.rjust(28) for label in labels)
     print(header)
     for row in rows:
@@ -114,7 +109,7 @@ def _cmd_report(args) -> int:
     log = read_runlog(args.runlog)
     report = build_report(log)
     out_dir = args.out or args.runlog
-    _write_report_files(report, out_dir, f"config_hash={log.config_hash} seed={log.seed}")
+    _write_report_files(report, out_dir, log.stamp)
     for s in report.streams:
         print(f"{s.stream_id}: smape={s.smape:.2f} breaks={s.n_breaks}")
     print(f"average: smape={report.avg_smape:.2f} breaks={report.avg_breaks:.2f}")

@@ -6,6 +6,8 @@ reporting metric, averaged into a per-stream SMAPE. Everything a report
 needs is read from the append-only RunLog, which records forecasts, actuals,
 monitor decisions and retrain timings for every evaluation batch; a record's
 losses are derived from its forecasts and actuals, not stored.
+``write_runlog`` and ``read_runlog`` carry a RunLog to three stamped CSV
+files and back; the round trip restores every value and the stamp exactly.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ import csv
 import json
 import math
 import os
+import re
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
-from .errors import EmptyLog, ShapeError
+from .errors import EmptyLog, ParseError, ShapeError
 from .monitor import RETRAIN_LABELS
+from .streams import write_table
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,11 @@ class RunLog:
     records: list[BatchRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    @property
+    def stamp(self) -> str:
+        """The first line of each run-log file and of report.csv, without its ``#``."""
+        return f"config_hash={self.config_hash} seed={self.seed}"
+
     def append(self, record: BatchRecord) -> None:
         self.records.append(record)
 
@@ -222,16 +233,11 @@ def write_report_csv(report: Report, path: str, header_comment: str | None = Non
     retrain_seconds is wall time and is the one column excluded from the
     byte-identical reproducibility promise.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["stream_id", "smape", "n_breaks", "p50_duration",
-                         "p90_duration", "retrain_seconds"])
-        for s in report.streams:
-            writer.writerow([s.stream_id, repr(s.smape), s.n_breaks,
-                             repr(s.p50_duration), repr(s.p90_duration),
-                             repr(s.retrain_seconds)])
+    write_table(path, ["stream_id", "smape", "n_breaks", "p50_duration", "p90_duration",
+                       "retrain_seconds"],
+                ([s.stream_id, repr(s.smape), s.n_breaks, repr(s.p50_duration),
+                  repr(s.p90_duration), repr(s.retrain_seconds)] for s in report.streams),
+                stamp=header_comment)
 
 
 def report_to_dict(report: Report) -> dict:
@@ -257,111 +263,114 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def write_report_json(report: Report, path: str, extra: dict | None = None) -> None:
-    payload = report_to_dict(report)
-    if extra:
-        payload.update(extra)
+def write_report_json(report: Report, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+FORECAST_COLUMNS = ["stream_id", "batch_index", "q", "tick", "forecast", "actual", "loss"]
+EVENT_COLUMNS = ["stream_id", "batch_index", "policy", "decision", "p_value", "statistic"]
+TIMING_COLUMNS = ["stream_id", "batch_index", "retrain_seconds"]
+_STAMP = re.compile(r"# config_hash=(\S*) seed=(\d+)")  # "# " + RunLog.stamp
 
 
 def write_runlog(log: RunLog, outdir: str) -> None:
     """Write forecasts.csv, events.csv, timings.csv under outdir.
 
     forecasts.csv and events.csv are byte-identical across re-runs of the
-    same (config, seed); timings.csv holds wall times and is not.
+    same (config, seed); timings.csv holds wall times and is not. Each file
+    starts with the log's stamp and lists the records in log order.
     """
     os.makedirs(outdir, exist_ok=True)
-    stamp = f"config_hash={log.config_hash} seed={log.seed}"
-    with open(os.path.join(outdir, "forecasts.csv"), "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# {stamp}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["stream_id", "batch_index", "q", "tick", "forecast", "actual", "loss"])
+
+    def forecast_rows():
         for r in log.records:
-            losses = r.losses
-            for q in range(r.forecasts.size):
-                writer.writerow([
-                    r.stream_id, r.batch_index, q + 1, r.batch_end - r.forecasts.size + q + 1,
-                    repr(float(r.forecasts[q])), repr(float(r.actuals[q])),
-                    repr(float(losses[q])),
-                ])
-    with open(os.path.join(outdir, "events.csv"), "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# {stamp}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["stream_id", "batch_index", "policy", "decision", "p_value", "statistic"])
-        for r in log.records:
-            writer.writerow([r.stream_id, r.batch_index, r.policy, r.decision,
-                             _fmt(r.p_value), _fmt(r.statistic)])
-    with open(os.path.join(outdir, "timings.csv"), "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# {stamp}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["stream_id", "batch_index", "retrain_seconds"])
-        for r in log.records:
-            if r.retrain_seconds:
-                writer.writerow([r.stream_id, r.batch_index, repr(r.retrain_seconds)])
+            first_tick = r.batch_end - r.forecasts.size + 1
+            for q, values in enumerate(zip(r.forecasts.tolist(), r.actuals.tolist(),
+                                           r.losses.tolist())):
+                yield (r.stream_id, r.batch_index, q + 1, first_tick + q, *values)
+
+    write_table(os.path.join(outdir, "forecasts.csv"), FORECAST_COLUMNS, forecast_rows(),
+                stamp=log.stamp)
+    write_table(os.path.join(outdir, "events.csv"), EVENT_COLUMNS,
+                ((r.stream_id, r.batch_index, r.policy, r.decision, _fmt(r.p_value),
+                  _fmt(r.statistic)) for r in log.records),
+                stamp=log.stamp)
+    write_table(os.path.join(outdir, "timings.csv"), TIMING_COLUMNS,
+                ((r.stream_id, r.batch_index, repr(r.retrain_seconds))
+                 for r in log.records if r.retrain_seconds),
+                stamp=log.stamp)
+
+
+def _open_table(stack: ExitStack, outdir: str, name: str, columns: list[str]):
+    """(stamp, csv reader) of one run-log file, positioned after its header."""
+    handle = stack.enter_context(open(os.path.join(outdir, name), newline="",
+                                      encoding="utf-8"))
+    stamp = handle.readline().rstrip("\r\n")
+    if not _STAMP.fullmatch(stamp):
+        raise ParseError(1, f"{name}: expected a '# config_hash=... seed=...' stamp")
+    if handle.readline().rstrip("\r\n").split(",") != columns:
+        raise ParseError(2, f"{name}: expected header {','.join(columns)}")
+    return stamp, csv.reader(handle)
 
 
 def read_runlog(outdir: str) -> RunLog:
-    """Rebuild a RunLog from the files written by write_runlog.
+    """Rebuild a RunLog, stamp included, from the files written by write_runlog.
 
-    The files are read line by line. The ``loss`` column is not read back:
-    a record derives its losses from the forecasts and actuals.
+    forecasts.csv is read one record (one group of rows) at a time, in step
+    with events.csv and timings.csv. Files that do not list the same
+    records in the same order, or carry different stamps, raise ParseError
+    naming the file and line. The ``loss`` column is not read back: a
+    record derives its losses from the forecasts and actuals.
     """
-    per_batch: dict[tuple[str, int], dict] = {}
+    names = [("forecasts.csv", FORECAST_COLUMNS), ("events.csv", EVENT_COLUMNS)]
+    if os.path.exists(os.path.join(outdir, "timings.csv")):
+        names.append(("timings.csv", TIMING_COLUMNS))
+    with ExitStack() as stack:
+        tables = [_open_table(stack, outdir, name, columns) for name, columns in names]
+        stamp = tables[0][0]
+        if any(other != stamp for other, _ in tables[1:]):
+            raise ParseError(1, "run-log files carry different stamps")
+        forecasts, events = tables[0][1], tables[1][1]
+        timings = tables[2][1] if len(tables) > 2 else iter(())
+        timing = next(timings, None)
 
-    def rows(name):
-        with open(os.path.join(outdir, name), newline="", encoding="utf-8") as handle:
-            reader = csv.reader(ln for ln in handle
-                                if ln.strip() and not ln.lstrip().startswith("#"))
-            header = next(reader)
-            for row in reader:
-                yield dict(zip(header, row))
-
-    stream_order: list[str] = []
-    for row in rows("forecasts.csv"):
-        key = (row["stream_id"], int(row["batch_index"]))
-        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "ticks": []})
-        entry["forecasts"].append(float(row["forecast"]))
-        entry["actuals"].append(float(row["actual"]))
-        entry["ticks"].append(int(row["tick"]))
-        if row["stream_id"] not in stream_order:
-            stream_order.append(row["stream_id"])
-    policy_name = ""
-    for row in rows("events.csv"):
-        key = (row["stream_id"], int(row["batch_index"]))
-        entry = per_batch.setdefault(key, {"forecasts": [], "actuals": [], "ticks": []})
-        entry["policy"] = row["policy"]
-        entry["decision"] = row["decision"]
-        entry["p_value"] = float(row["p_value"]) if row["p_value"] else None
-        entry["statistic"] = float(row["statistic"]) if row["statistic"] else None
-        policy_name = row["policy"]
-    timings_path = os.path.join(outdir, "timings.csv")
-    if os.path.exists(timings_path):
-        for row in rows("timings.csv"):
-            key = (row["stream_id"], int(row["batch_index"]))
-            if key in per_batch:
-                per_batch[key]["retrain_seconds"] = float(row["retrain_seconds"])
-
-    log = RunLog(stream_ids=tuple(stream_order), horizon=0, policy_name=policy_name,
-                 forecaster="", seed=0)
-    for (stream_id, batch_index) in sorted(per_batch, key=lambda k: (k[1], stream_order.index(k[0]))):
-        entry = per_batch[(stream_id, batch_index)]
-        decision = entry.get("decision", "hold")
-        log.append(BatchRecord(
-            stream_id=stream_id,
-            batch_index=batch_index,
-            batch_end=max(entry["ticks"]) if entry["ticks"] else 0,
-            forecasts=np.array(entry["forecasts"]),
-            actuals=np.array(entry["actuals"]),
-            policy=entry.get("policy", ""),
-            decision=decision,
-            retrain=decision in RETRAIN_LABELS,
-            p_value=entry.get("p_value"),
-            statistic=entry.get("statistic"),
-            model_token="",
-            retrain_seconds=entry.get("retrain_seconds", 0.0),
-        ))
-    if log.horizon == 0 and log.records:
-        log.horizon = log.records[0].forecasts.size
-    return log
+        records = []
+        line = 3  # forecasts.csv line of the current record's first row
+        for key, group in groupby(forecasts, key=lambda row: row[:2]):
+            rows = list(group)
+            event = next(events, None)
+            if event is None or event[:2] != key:
+                listed = "no batch" if event is None else event[:2]
+                raise ParseError(line, f"forecasts.csv lists {key}, events.csv line "
+                                       f"{events.line_num + 2} lists {listed}")
+            try:
+                seconds = 0.0
+                if timing is not None and timing[:2] == key:
+                    seconds = float(timing[2])
+                    timing = next(timings, None)
+                values = np.array([row[4:6] for row in rows], dtype=float)
+                records.append(BatchRecord(
+                    stream_id=key[0], batch_index=int(key[1]), batch_end=int(rows[-1][3]),
+                    forecasts=values[:, 0], actuals=values[:, 1], policy=event[2],
+                    decision=event[3], retrain=event[3] in RETRAIN_LABELS,
+                    p_value=float(event[4]) if event[4] else None,
+                    statistic=float(event[5]) if event[5] else None,
+                    model_token="", retrain_seconds=seconds,
+                ))
+            except (ValueError, IndexError) as exc:
+                raise ParseError(line, f"forecasts.csv record (events.csv line "
+                                       f"{events.line_num + 2}): {exc}") from None
+            line += len(rows)
+        if next(events, None) is not None:
+            raise ParseError(events.line_num + 2,
+                             "events.csv lists a batch that forecasts.csv does not list there")
+        if timing is not None:
+            raise ParseError(timings.line_num + 2,
+                             "timings.csv lists a batch that forecasts.csv does not list there")
+    match = _STAMP.fullmatch(stamp)
+    return RunLog(stream_ids=tuple(dict.fromkeys(r.stream_id for r in records)),
+                  horizon=records[0].forecasts.size if records else 0,
+                  policy_name=records[0].policy if records else "", forecaster="",
+                  seed=int(match[2]), config_hash=match[1], records=records)

@@ -31,7 +31,8 @@ from .forecasters import (
     fit_naive,
     predict_matrix,
 )
-from .monitor import POLICIES, MeanTestPolicy, MonitorState, Policy, new_state, observe
+from .monitor import (POLICIES, MeanTestPolicy, MonitorDecision, MonitorState, Policy,
+                      new_state, observe)
 from .schema import check_fields, document_hash, parse_field, read_json
 from .simulate import RegimeScenario, gen_regime_streams
 from .streams import StreamSet, batch_ends, ingest_csv
@@ -221,6 +222,9 @@ def _shift_batches(scenario: RegimeScenario, stream_ids, origins, horizon) -> di
     return out
 
 
+_NO_DECISION = MonitorDecision(retrain=False)  # the final batch's: no forecast follows it
+
+
 def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
     """Execute the monitored forecasting loop and return the full log."""
     streams = stream_set if stream_set is not None else materialize(config)
@@ -261,47 +265,29 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
 
     for i in range(n_streams):
         refit(i, ends[0])
-
-    pending: list[np.ndarray] = [np.empty(0)] * n_streams
-    for idx, b in enumerate(ends):
-        if idx > 0:
-            origin = ends[idx - 1]
-            actual_rows = streams.values[origin:origin + Q, :]  # ticks origin+1..origin+Q
-            for i in range(n_streams):
-                forecasts = pending[i]
-                actuals = actual_rows[:, i]
-                loss = squared_loss_batch(actuals, forecasts, batch_index=idx,
-                                          stream_id=streams.stream_ids[i])
-                made_by = tokens[i]
-                decision = observe(states[i], loss.losses)
-                seconds = refit(i, b) if decision.retrain else 0.0
-                log.append(BatchRecord(
-                    stream_id=streams.stream_ids[i], batch_index=idx,
-                    batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
-                    policy=config.policy.name,
-                    decision=config.policy.label(decision),
-                    retrain=decision.retrain,
-                    p_value=decision.test.p_value if decision.test else None,
-                    statistic=decision.test.statistic if decision.test else None,
-                    model_token=made_by, retrain_seconds=seconds,
-                ))
-        F = feature_matrix(streams, spec, np.arange(b + 1, b + Q + 1))
+    # Batch idx is forecast at its origin and scored on the Q ticks after it;
+    # a retrain refits at the next origin. The last batch is not decided on.
+    for idx, origin in enumerate(ends, start=1):
+        final = idx == len(ends)
+        F = feature_matrix(streams, spec, np.arange(origin + 1, origin + Q + 1))
+        actual_rows = streams.values[origin:origin + Q, :]  # ticks origin+1..origin+Q
         for i in range(n_streams):
-            pending[i] = predict_matrix(models[i], F)
-
-    # Final observed batch: scored for accuracy, no decision follows it.
-    origin = ends[-1]
-    actual_rows = streams.values[origin:origin + Q, :]
-    for i in range(n_streams):
-        # checks the final forecasts as every earlier batch's are checked
-        squared_loss_batch(actual_rows[:, i], pending[i], batch_index=len(ends),
-                           stream_id=streams.stream_ids[i])
-        log.append(BatchRecord(
-            stream_id=streams.stream_ids[i], batch_index=len(ends),
-            batch_end=origin + Q, forecasts=pending[i], actuals=actual_rows[:, i],
-            policy=config.policy.name, decision="final",
-            retrain=False, p_value=None, statistic=None, model_token=tokens[i],
-        ))
+            forecasts, actuals = predict_matrix(models[i], F), actual_rows[:, i]
+            loss = squared_loss_batch(actuals, forecasts, batch_index=idx,
+                                      stream_id=streams.stream_ids[i])
+            made_by = tokens[i]
+            decision = _NO_DECISION if final else observe(states[i], loss.losses)
+            seconds = refit(i, ends[idx]) if decision.retrain else 0.0
+            log.append(BatchRecord(
+                stream_id=streams.stream_ids[i], batch_index=idx,
+                batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
+                policy=config.policy.name,
+                decision="final" if final else config.policy.label(decision),
+                retrain=decision.retrain,
+                p_value=decision.test.p_value if decision.test else None,
+                statistic=decision.test.statistic if decision.test else None,
+                model_token=made_by, retrain_seconds=seconds,
+            ))
     return log
 
 

@@ -6,7 +6,8 @@ establishes the reference, each later batch is tested, acceptances extend
 the reference, and a rejection resets it so the next batch re-warms. The
 returned rejection frequency is total rejections over total tests across
 replications, each replication seeded from (seed, replication index) so
-results do not depend on execution order. A replication computes the
+results do not depend on execution order or on how replications are split
+across worker processes. A replication computes the
 moments of all its batches in one vectorized call and then steps the
 monitor batch by batch on them; the frequencies are those of stepping on
 the raw batches.
@@ -14,8 +15,10 @@ the raw batches.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -102,30 +105,17 @@ def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int
     return rejections, tests
 
 
-def _null_study_chunk(args) -> tuple[int, int]:
-    config, reps = args
-    rejections = 0
-    tests = 0
-    for rep in reps:
-        r, t = _null_study_replication(config, rep)
-        rejections += r
-        tests += t
-    return rejections, tests
-
-
 def run_null_study(config: NullStudyConfig, threads: int = 1) -> float:
     """Empirical rejection frequency of the monitor under a stable stream."""
-    reps = list(range(config.n_replications))
+    replicate = partial(_null_study_replication, config)
+    reps = range(config.n_replications)
     if threads <= 1 or config.n_replications == 1:
-        rejections, tests = _null_study_chunk((config, reps))
+        results = list(map(replicate, reps))
     else:
-        n_chunks = min(threads * 4, len(reps))
-        chunks = [(config, reps[i::n_chunks]) for i in range(n_chunks)]
-        rejections = tests = 0
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for r, t in pool.map(_null_study_chunk, chunks):
-                rejections += r
-                tests += t
+            results = list(pool.map(replicate, reps,
+                                    chunksize=math.ceil(len(reps) / (4 * threads))))
+    rejections, tests = map(sum, zip(*results))
     return rejections / tests
 
 

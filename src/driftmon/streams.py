@@ -1,9 +1,10 @@
-"""Time-indexed multivariate stream container, batch segmentation, CSV ingestion.
+"""Time-indexed multivariate stream container, batch segmentation, CSV IO.
 
 Ticks are abstract 1-based integers at the base frequency (e.g. quarter
 hours); calendar structure is a feature-construction concern and lives in
 :mod:`driftmon.features`. A StreamSet is immutable after construction and
-safe to share across workers.
+safe to share across workers. ``write_table`` writes every CSV file the
+package emits, except the null-study table that runs append to.
 """
 
 from __future__ import annotations
@@ -127,18 +128,28 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
                      slots_per_batch=slots_per_batch)
 
 
+def write_table(path: str, header, rows, stamp: str | None = None) -> None:
+    """Write a CSV table: the ``# stamp`` line when given, the header, the rows.
+
+    Readers skip ``#`` lines.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if stamp:
+            handle.write(f"# {stamp}\n")
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(stream_set: StreamSet, path: str, header_comment: str | None = None) -> None:
     """Serialize a StreamSet to the ``tick,stream_id,value`` schema.
 
     ``header_comment`` (without the leading ``#``) is written as the first
-    line when given; readers skip ``#`` lines. Float formatting uses repr so
-    a write/read round trip is exact.
+    line when given. Values are written as Python floats, whose text is
+    their repr, so a write/read round trip is exact.
     """
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for tick in range(1, stream_set.n_ticks + 1):
-            for col, stream_id in enumerate(stream_set.stream_ids):
-                writer.writerow([tick, stream_id, repr(float(stream_set.values[tick - 1, col]))])
+    write_table(path, CSV_HEADER,
+                ((tick, stream_id, value)
+                 for tick, row in enumerate(stream_set.values.tolist(), start=1)
+                 for stream_id, value in zip(stream_set.stream_ids, row)),
+                stamp=header_comment)

@@ -145,3 +145,14 @@ def test_rerun_run_outputs_byte_identical_except_timings(tmp_path):
     assert main(["run", "--config", config, "--out", str(out2)]) == 0
     for name in ("forecasts.csv", "events.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_report_rebuilds_run_report_files_byte_for_byte(tmp_path):
+    config = write_config(tmp_path, forecaster="forest", forest_n_trees=2,
+                          forest_min_node_size=20)
+    out_dir, rebuilt_dir = tmp_path / "out", tmp_path / "rebuilt"
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 0
+    assert main(["report", "--runlog", str(out_dir), "--out", str(rebuilt_dir)]) == 0
+    assert (out_dir / "report.csv").read_text().startswith("# config_hash=")
+    for name in ("report.csv", "report.json"):
+        assert (rebuilt_dir / name).read_bytes() == (out_dir / name).read_bytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftmon.errors import EmptyLog, ShapeError
+from driftmon.errors import EmptyLog, ParseError, ShapeError
 from driftmon.evaluate import (
     BatchRecord,
     LossBatch,
@@ -201,3 +201,39 @@ def test_report_files(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["streams"][0]["smape"] == pytest.approx(50.0)
     assert payload["average"]["smape"] == pytest.approx(50.0)
+
+
+def _drop_event_row(out):
+    path = out / "events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:4] + lines[5:]))
+
+
+def _drop_forecast_group(out):
+    path = out / "forecasts.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("b,2,")))
+
+
+def _swap_event_rows(out):
+    path = out / "events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3], lines[4] = lines[4], lines[3]
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_event_row, _drop_forecast_group, _swap_event_rows],
+                         ids=["event-row-deleted", "forecast-group-deleted", "event-rows-swapped"])
+def test_read_runlog_rejects_files_that_disagree(tmp_path, corrupt):
+    log = RunLog(stream_ids=("a", "b"), horizon=2, policy_name="mean_test",
+                 forecaster="naive", seed=5, config_hash="cafe")
+    for batch in range(1, 4):
+        for stream in ("a", "b"):
+            log.append(record(stream, batch, [1.0, 2.0], [1.5, 2.5]))
+    out = tmp_path / "log"
+    write_runlog(log, str(out))
+    again = read_runlog(str(out))
+    assert (again.config_hash, again.seed, again.stamp) == ("cafe", 5, log.stamp)
+    corrupt(out)
+    with pytest.raises(ParseError, match="events.csv"):
+        read_runlog(str(out))

@@ -1,12 +1,15 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftmon.errors import ConfigError, InsufficientHistory
-from driftmon.evaluate import build_report, read_runlog, write_runlog
+from driftmon.evaluate import build_report, read_runlog, report_to_dict, write_runlog
 from driftmon.features import FeatureSpec
 from driftmon.forecasters import BoostingParams, ForestParams, HyperParams
 from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
@@ -230,6 +233,42 @@ def test_lean_records_share_the_panel_and_round_trip(tmp_path):
         assert np.array_equal(read.forecasts, mine.forecasts)
         assert np.array_equal(read.actuals, mine.actuals)
         assert np.array_equal(read.losses, mine.losses)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_streams=st.integers(1, 3),
+       policy=st.sampled_from([MeanTestPolicy(alpha=0.2), PeltPolicy(min_seg_len=2),
+                               EveryKBatches(k=2), NeverPolicy()]),
+       forecaster=st.sampled_from(["naive", "forest"]),
+       horizon=st.sampled_from([1, 2, 4]),
+       slots_per_batch=st.sampled_from([2, 4, 6]),
+       lags=st.sampled_from([(2, 12), (4, 24), (6, 12)]),
+       seed=st.integers(0, 20))
+def test_runlog_round_trip_property(n_streams, policy, forecaster, horizon, slots_per_batch,
+                                    lags, seed):
+    scenario = RegimeScenario(n_streams=n_streams, n_days=8, slots_per_day=12,
+                              level_shifts=((6, 0, 3.0),), noise_scale=1.0, seed=seed)
+    try:
+        config = RunConfig(source=scenario, forecaster=forecaster, policy=policy,
+                           hyperparams=HyperParams(forest=ForestParams(n_trees=2)),
+                           feature_spec=FeatureSpec(lags=lags, slots_per_day=12),
+                           window_days=4, slots_per_batch=slots_per_batch, horizon=horizon,
+                           naive_lag=lags[-1], seed=seed)
+    except ConfigError:
+        return
+    log = run(config)
+    with tempfile.TemporaryDirectory() as out:
+        write_runlog(log, out)
+        again = read_runlog(out)
+    assert again.stamp == log.stamp
+    assert len(again.records) == len(log.records)
+    for mine, read in zip(log.records, again.records):
+        assert np.array_equal(read.forecasts, mine.forecasts)
+        assert np.array_equal(read.actuals, mine.actuals)
+        fields_of = [(r.stream_id, r.batch_index, r.batch_end, r.policy, r.decision, r.retrain,
+                      r.p_value, r.statistic, r.retrain_seconds) for r in (mine, read)]
+        assert fields_of[0] == fields_of[1]
+    assert report_to_dict(build_report(again)) == report_to_dict(build_report(log))
 
 
 def test_flat_config_roundtrip():
