@@ -9,18 +9,17 @@ Usage:
 """
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from driftmon.evaluate import build_report
 from driftmon.forecasters import ForestParams, HyperParams
 from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
-from driftmon.pipeline import RunConfig, materialize, run
+from driftmon.pipeline import RunConfig, compare_policies
 from driftmon.simulate import RegimeScenario
+from driftmon.streams import write_table
 
 POLICIES = {
     "daily": lambda: EveryKBatches(k=1),
@@ -35,17 +34,15 @@ def run_seed(args) -> tuple[int, dict]:
     seed, n_trees, min_node, window_days = args
     scenario = RegimeScenario.desk_default(seed)
     hp = HyperParams(forest=ForestParams(n_trees=n_trees, min_node_size=min_node))
-    base = dict(source=scenario, forecaster="forest", hyperparams=hp,
-                window_days=window_days, seed=seed)
-    streams = materialize(RunConfig(policy=NeverPolicy(), **base))
+    runs = compare_policies([RunConfig(source=scenario, forecaster="forest", hyperparams=hp,
+                                       policy=make(), window_days=window_days, seed=seed)
+                             for make in POLICIES.values()])
     out = {}
-    for name, make in POLICIES.items():
-        log = run(RunConfig(policy=make(), **base), stream_set=streams)
-        report = build_report(log)
+    for name, cr in zip(POLICIES, runs):
         out[name] = {
-            "smape": report.avg_smape,
-            "retrains": sum(r.retrain for r in log.records),
-            "retrain_seconds": report.total_retrain_seconds,
+            "smape": cr.report.avg_smape,
+            "retrains": sum(r.retrain for r in cr.log.records),
+            "retrain_seconds": cr.report.total_retrain_seconds,
         }
     return seed, out
 
@@ -70,13 +67,9 @@ def main(argv=None) -> int:
 
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["seed", "policy", "smape", "retrains", "retrain_seconds"])
-            for seed in sorted(results):
-                for name, row in results[seed].items():
-                    writer.writerow([seed, name, repr(row["smape"]), row["retrains"],
-                                     repr(row["retrain_seconds"])])
+        write_table(args.out, ["seed", "policy", "smape", "retrains", "retrain_seconds"],
+                    ((seed, name, row["smape"], row["retrains"], row["retrain_seconds"])
+                     for seed in sorted(results) for name, row in results[seed].items()))
         print(f"wrote {args.out}")
 
     print(f"\n{'policy':<14}{'SMAPE':>8}{'retrains':>10}{'fit seconds':>13}")

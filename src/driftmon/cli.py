@@ -1,11 +1,11 @@
 """Command-line surface: run pipelines, size studies, data generation, reports.
 
-Exit codes: 0 success, 2 configuration or usage error, 1 runtime error.
-Outputs are flat CSV/JSON. The run log, report.csv, the panel CSV and the
-null-study CSV start with a config-hash-and-seed stamp so re-runs are
-verifiable; wall-clock timing columns are the only exception to
-byte-identical reproduction, and ``report`` rebuilds a run's report files
-byte for byte from its run log.
+Exit codes: 0 success, 2 configuration or usage error (a path that does
+not exist included), 1 runtime error. Outputs are flat CSV/JSON. The run log,
+report.csv, the panel CSV and the null-study CSV start with a
+config-hash-and-seed stamp so re-runs are verifiable; wall-clock timing
+columns are the only exception to byte-identical reproduction, and
+``report`` rebuilds a run's report files byte for byte from its run log.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .errors import ConfigError, DriftmonError
 from .evaluate import build_report, read_runlog, write_report_csv, write_report_json, write_runlog
 from .pipeline import compare_policies, comparison_table, load_config, run
-from .schema import document_hash, read_json
+from .schema import config_errors, document_hash, read_json, stamp_line
 from .simulate import DISTRIBUTIONS, NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study
 from .streams import write_csv, write_table
 
@@ -66,41 +67,29 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_null_study(args) -> int:
-    config = NullStudyConfig(
-        distribution=args.dist,
-        stream_length=args.length,
-        batch_size=args.batch,
-        alpha=args.alpha,
-        n_replications=args.reps,
-        seed=args.seed,
-    )
+    with config_errors("null_study"):  # flags left out keep the dataclass defaults
+        config = NullStudyConfig(**{f.name: getattr(args, f.name) for f in fields(NullStudyConfig)
+                                    if getattr(args, f.name, None) is not None})
     freq = run_null_study(config, threads=args.threads)
     print(f"rejection_frequency={freq:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        stamp = f"config_hash={document_hash(config.__dict__)} seed={config.seed}"
         path = os.path.join(args.out, "null_study.csv")
-        new_file = not os.path.exists(path)
-        with open(path, "a", newline="", encoding="utf-8") as handle:
-            if new_file:
-                handle.write(f"# {stamp}\n")
-                handle.write("distribution,length,batch,alpha,rejection_freq\n")
-            handle.write(f"{config.distribution},{config.stream_length},"
-                         f"{config.batch_size},{config.alpha},{freq!r}\n")
-        print(f"appended to {path}")
+        write_table(path, ["distribution", "length", "batch", "alpha", "rejection_freq"],
+                    [(config.distribution, config.stream_length, config.batch_size,
+                      config.alpha, freq)],
+                    stamp=stamp_line(document_hash(config.__dict__), config.seed))
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_gen_data(args) -> int:
-    try:
-        scenario = RegimeScenario.from_dict(read_json(args.scenario, "scenario"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("scenario", str(exc))
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+    with config_errors("scenario"):
+        doc = read_json(args.scenario, "scenario")
+        scenario = RegimeScenario.from_dict(doc if args.seed is None else doc | {"seed": args.seed})
     streams = gen_regime_streams(scenario)
-    stamp = f"config_hash={document_hash(scenario.to_dict())} seed={scenario.seed}"
-    write_csv(streams, args.out, header_comment=stamp)
+    write_csv(streams, args.out,
+              header_comment=stamp_line(document_hash(scenario.to_dict()), scenario.seed))
     print(f"wrote {streams.n_ticks} ticks x {streams.n_streams} streams to {args.out}")
     return 0
 
@@ -134,12 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_null = sub.add_parser("null-study", help="false-alarm rate of the monitor on iid data")
-    p_null.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p_null.add_argument("--length", type=int, default=10_000)
-    p_null.add_argument("--batch", type=int, default=50)
-    p_null.add_argument("--alpha", type=float, default=0.05)
-    p_null.add_argument("--reps", type=int, default=1_000)
-    p_null.add_argument("--seed", type=int, default=0)
+    # flags name NullStudyConfig fields and are read by their parsers
+    p_null.add_argument("--dist", dest="distribution", choices=DISTRIBUTIONS)
+    p_null.add_argument("--length", dest="stream_length")
+    p_null.add_argument("--batch", dest="batch_size")
+    p_null.add_argument("--alpha")
+    p_null.add_argument("--reps", dest="n_replications")
+    p_null.add_argument("--seed")
     p_null.add_argument("--threads", type=int, default=1)
     p_null.add_argument("--out", default=None, help="directory for the study CSV")
     p_null.set_defaults(func=_cmd_null_study)
@@ -165,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:  # a path that does not exist is a usage error
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DriftmonError as exc:

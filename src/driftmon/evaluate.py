@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import EmptyLog, ParseError, ShapeError
 from .monitor import RETRAIN_LABELS
+from .schema import stamp_line
 from .streams import write_table
 
 
@@ -131,7 +132,7 @@ class RunLog:
     @property
     def stamp(self) -> str:
         """The first line of each run-log file and of report.csv, without its ``#``."""
-        return f"config_hash={self.config_hash} seed={self.seed}"
+        return stamp_line(self.config_hash, self.seed)
 
     def append(self, record: BatchRecord) -> None:
         self.records.append(record)

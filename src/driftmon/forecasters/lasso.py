@@ -72,42 +72,44 @@ def coordinate_descent(Xs: np.ndarray, yc: np.ndarray, lam: float,
     return max_iter
 
 
-def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
-               lambda_min_ratio: float = 1e-3, tol: float = 1e-9,
-               max_iter: int = 10_000, keep_path: bool = False) -> LassoFit:
-    """Fit the full grid and return the BIC-selected solution."""
+def _standardize(X: np.ndarray, y: np.ndarray):
+    """(Xs, yc, destandardize): X's varying columns centered and scaled to unit
+    second moment, y centered, and the map from Xs slopes to (intercept, slopes)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if n < 2:
-        raise InsufficientData(f"lasso needs n >= 2 rows, got {n}")
-
+    if X.shape[0] < 2:
+        raise InsufficientData(f"lasso needs n >= 2 rows, got {X.shape[0]}")
     x_mean = X.mean(axis=0)
     Xc = X - x_mean
     sd = np.sqrt(np.mean(Xc * Xc, axis=0))
     keep = sd > ZERO_SD
-    Xs = np.asfortranarray(Xc[:, keep] / sd[keep])  # contiguous columns for the dots
     y_mean = float(y.mean())
-    yc = y - y_mean
 
-    p_kept = int(keep.sum())
+    def destandardize(beta_std: np.ndarray) -> tuple[float, np.ndarray]:
+        slopes = np.zeros(X.shape[1])
+        slopes[keep] = beta_std / sd[keep]
+        return y_mean - float(slopes @ x_mean), slopes
+
+    # contiguous columns for the dots
+    return np.asfortranarray(Xc[:, keep] / sd[keep]), y - y_mean, destandardize
+
+
+def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
+               lambda_min_ratio: float = 1e-3, tol: float = 1e-9,
+               max_iter: int = 10_000, keep_path: bool = False) -> LassoFit:
+    """Fit the full grid and return the BIC-selected solution."""
+    Xs, yc, destandardize = _standardize(X, y)
+    n, p_kept = Xs.shape
     if p_kept == 0:
         rss = float(yc @ yc)
-        return LassoFit(intercept=y_mean, slopes=np.zeros(p), lam=0.0,
-                        bic=bic(rss, n, 1), rss=rss,
-                        lambda_grid=np.array([0.0]),
-                        n_nonzero_path=np.array([0]))
+        return LassoFit(*destandardize(np.zeros(0)), lam=0.0, bic=bic(rss, n, 1), rss=rss,
+                        lambda_grid=np.array([0.0]), n_nonzero_path=np.array([0]))
 
     lam_max = float(np.max(np.abs(Xs.T @ yc)) / n)
     if lam_max <= 0.0:
         grid = np.array([0.0])
     else:
         grid = lam_max * np.power(lambda_min_ratio, np.linspace(0.0, 1.0, n_lambda))
-
-    def destandardize(beta_std: np.ndarray) -> tuple[float, np.ndarray]:
-        slopes = np.zeros(p)
-        slopes[keep] = beta_std / sd[keep]
-        return y_mean - float(slopes @ x_mean), slopes
 
     beta = np.zeros(p_kept)
     residual = yc.copy()
@@ -136,22 +138,8 @@ def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
 def fit_at_lambda(X: np.ndarray, y: np.ndarray, lam: float,
                   tol: float = 1e-11, max_iter: int = 100_000) -> tuple[float, np.ndarray]:
     """Single-penalty fit (lam=0 gives ordinary least squares on full-rank X)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if n < 2:
-        raise InsufficientData(f"lasso needs n >= 2 rows, got {n}")
-    x_mean = X.mean(axis=0)
-    Xc = X - x_mean
-    sd = np.sqrt(np.mean(Xc * Xc, axis=0))
-    keep = sd > ZERO_SD
-    Xs = np.asfortranarray(Xc[:, keep] / sd[keep])
-    yc = y - float(y.mean())
-    beta = np.zeros(int(keep.sum()))
-    residual = yc.copy()
+    Xs, yc, destandardize = _standardize(X, y)
+    beta = np.zeros(Xs.shape[1])
     if beta.size:
-        coordinate_descent(Xs, yc, lam, beta, residual, tol, max_iter)
-    slopes = np.zeros(p)
-    slopes[keep] = beta / sd[keep]
-    intercept = float(y.mean()) - float(slopes @ x_mean)
-    return intercept, slopes
+        coordinate_descent(Xs, yc, lam, beta, yc.copy(), tol, max_iter)
+    return destandardize(beta)

@@ -33,7 +33,7 @@ from .forecasters import (
 )
 from .monitor import (POLICIES, MeanTestPolicy, MonitorDecision, MonitorState, Policy,
                       new_state, observe)
-from .schema import check_fields, document_hash, parse_field, read_json
+from .schema import check_fields, config_errors, document_hash, parse_field, read_json
 from .simulate import RegimeScenario, gen_regime_streams
 from .streams import StreamSet, batch_ends, ingest_csv
 
@@ -102,8 +102,7 @@ class RunConfig:
             parts.append((f"{self.forecaster}_", getattr(self.hyperparams, self.forecaster)))
         for prefix, part in parts:
             for key, f in _flat_fields(type(part), prefix).items():
-                value = getattr(part, f.name)
-                d[key] = list(value) if isinstance(value, tuple) else value
+                d[key] = getattr(part, f.name)
         del d["out_dir"]  # where outputs go does not change them
         return d
 
@@ -147,7 +146,7 @@ def config_from_dict(data: dict) -> RunConfig:
     if len(sources) != 1:
         raise ConfigError("data_csv", "exactly one of data_csv, data_scenario, "
                                       "data_scenario_inline is required")
-    try:
+    with config_errors("config"):
         if "data_csv" in data:
             source: str | RegimeScenario = str(data["data_csv"])
         elif "data_scenario_inline" in data:
@@ -163,8 +162,6 @@ def config_from_dict(data: dict) -> RunConfig:
         return RunConfig(source=source, policy=policy, hyperparams=hp,
                          feature_spec=FeatureSpec(**_parse(data, FeatureSpec)),
                          **_parse(data, RunConfig))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("config", str(exc))
 
 
 def load_config(path: str) -> RunConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import Field, fields
 
 from .errors import ConfigError
@@ -37,14 +38,22 @@ def _bool(value) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list of integers, got {value!r}")
-    return tuple(map(_int, value))
+def _tuple(*items):
+    """Parser of a list: ``_tuple(p, ...)`` reads each entry with ``p``, and
+    ``_tuple(p, q)`` reads exactly two entries, the first with ``p``."""
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
+        parsers = items[:1] * len(value) if items[-1] is ... else items
+        if len(value) != len(parsers):
+            raise ValueError(f"expected {len(parsers)} entries, got {value!r}")
+        return tuple(read(entry) for read, entry in zip(parsers, value))
+    return parse
 
 
-_PARSERS = {"int": _int, "float": _float, "bool": _bool, "tuple[int, ...]": _int_tuple,
-            "str": str}
+_PARSERS = {"int": _int, "float": _float, "bool": _bool, "str": str,
+            "tuple[int, ...]": _tuple(_int, ...), "tuple[float, ...]": _tuple(_float, ...),
+            "tuple[tuple[int, int, float], ...]": _tuple(_tuple(_int, _int, _float), ...)}
 
 
 def parse_field(f: Field, key: str, value):
@@ -52,10 +61,8 @@ def parse_field(f: Field, key: str, value):
     kind = f.type.removesuffix(" | None")
     if value is None and kind != f.type:
         return None
-    try:
+    with config_errors(key):
         return _PARSERS[kind](value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc))
 
 
 def check_fields(obj) -> None:
@@ -69,8 +76,22 @@ def check_fields(obj) -> None:
 
 
 def document_hash(doc: dict) -> str:
-    """Stamp of a JSON document: its SHA-256 with sorted keys, 12 hex digits."""
+    """Hash of a JSON document: its SHA-256 with sorted keys, 12 hex digits."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def stamp_line(config_hash: str, seed: int) -> str:
+    """The first line of a stamped output table, without its ``#``."""
+    return f"config_hash={config_hash} seed={seed}"
+
+
+@contextmanager
+def config_errors(key: str):
+    """Report a TypeError or ValueError raised while building a config as ConfigError ``key``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc))
 
 
 def read_json(path: str, key: str):

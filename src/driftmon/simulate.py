@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
+from .errors import ConfigError
 from .monitor import MeanTestPolicy, new_state, observe, row_moments
 from .schema import check_fields
 from .streams import StreamSet
@@ -71,6 +72,7 @@ class NullStudyConfig:
     reseed_with_rejecting_batch: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
         if self.batch_size < 2:
@@ -81,6 +83,8 @@ class NullStudyConfig:
             raise ValueError("n_replications must be >= 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
 
 
 def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int]:
@@ -144,14 +148,17 @@ class RegimeScenario:
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_streams < 1 or self.n_days < 1 or self.slots_per_day < 1:
-            raise ValueError("n_streams, n_days, slots_per_day must be >= 1")
+        if min(self.n_streams, self.n_days, self.slots_per_day, self.days_per_week) < 1:
+            raise ValueError("n_streams, n_days, slots_per_day, days_per_week must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.base_levels is not None and len(self.base_levels) != self.n_streams:
             raise ValueError("base_levels length must equal n_streams")
         if not -1.0 < self.noise_correlation < 1.0:
             raise ValueError("noise_correlation must be in (-1, 1)")
-        if self.noise_correlation < 0.0 and self.n_streams > 2:
+        if self.noise_correlation < 0.0 and self.n_streams != 2:
             raise ValueError("negative common-factor correlation only supported for 2 streams")
+        peaks = [abs(level) for level in self.stream_levels] + [abs(self.noise_scale)]
         for day, stream, mult in self.level_shifts:
             if not 1 <= day <= self.n_days:
                 raise ValueError(f"shift day {day} outside 1..{self.n_days}")
@@ -159,8 +166,14 @@ class RegimeScenario:
                 raise ValueError(f"shift stream {stream} outside 0..{self.n_streams - 1}")
             if mult <= 0.0:
                 raise ValueError("shift multipliers must be > 0")
-        object.__setattr__(self, "level_shifts",
-                           tuple((int(d), int(s), float(m)) for d, s, m in self.level_shifts))
+            peaks[stream] *= max(mult, 1.0)
+        if max(peaks) >= 1e50:  # squared-error moments overflowed at 1e100
+            raise ValueError("levels, shifts applied, and noise_scale must be below 1e50")
+
+    @property
+    def stream_levels(self) -> tuple[float, ...]:
+        """Each stream's level before shifts: base_levels, or 20, 30, 40, ... when unset."""
+        return self.base_levels or tuple(20.0 + 10.0 * i for i in range(self.n_streams))
 
     @classmethod
     def desk_default(cls, seed: int = 0) -> "RegimeScenario":
@@ -176,29 +189,18 @@ class RegimeScenario:
         )
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["base_levels"] = list(self.base_levels) if self.base_levels else None
-        d["level_shifts"] = [list(s) for s in self.level_shifts]
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegimeScenario":
-        kwargs = dict(data)
-        if kwargs.get("base_levels") is not None:
-            kwargs["base_levels"] = tuple(kwargs["base_levels"])
-        kwargs["level_shifts"] = tuple(tuple(s) for s in kwargs.get("level_shifts", ()))
-        return cls(**kwargs)
-
-    def with_seed(self, seed: int) -> "RegimeScenario":
-        return replace(self, seed=seed)
+        return cls(**data)
 
 
 def gen_regime_streams(scenario: RegimeScenario) -> StreamSet:
     """Materialize a scenario into a StreamSet (batch size = one day of slots)."""
     sc = scenario
     n_ticks = sc.n_days * sc.slots_per_day
-    levels = np.array(sc.base_levels if sc.base_levels is not None
-                      else [20.0 + 10.0 * i for i in range(sc.n_streams)])
+    levels = np.array(sc.stream_levels)
 
     profile_rng = np.random.default_rng((sc.seed, 1))
     slot = np.arange(sc.slots_per_day)

@@ -4,7 +4,7 @@ Ticks are abstract 1-based integers at the base frequency (e.g. quarter
 hours); calendar structure is a feature-construction concern and lives in
 :mod:`driftmon.features`. A StreamSet is immutable after construction and
 safe to share across workers. ``write_table`` writes every CSV file the
-package emits, except the null-study table that runs append to.
+package emits.
 """
 
 from __future__ import annotations

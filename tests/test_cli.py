@@ -3,6 +3,8 @@ import json
 import pytest
 
 from driftmon.cli import main
+from driftmon.errors import ConfigError
+from driftmon.pipeline import config_from_dict
 from driftmon.simulate import RegimeScenario
 
 TINY_SCENARIO = RegimeScenario(n_streams=2, n_days=24, slots_per_day=60,
@@ -156,3 +158,77 @@ def test_report_rebuilds_run_report_files_byte_for_byte(tmp_path):
     assert (out_dir / "report.csv").read_text().startswith("# config_hash=")
     for name in ("report.csv", "report.json"):
         assert (rebuilt_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_null_study_replaces_its_table(tmp_path, capsys):
+    def study(seed):
+        assert main(["null-study", "--length", "200", "--batch", "20", "--reps", "4",
+                     "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        return (tmp_path / "null_study.csv").read_text().splitlines()
+
+    first = study(1)
+    assert first[0] == "# config_hash=d48dc1bae91e seed=1"
+    # a second study into the same directory replaces the table
+    assert study(2) == ["# config_hash=c6ec83b4f435 seed=2",
+                        "distribution,length,batch,alpha,rejection_freq",
+                        "gaussian,200,20,0.05,0.0"]
+    assert study(1) == first
+
+
+# Each of these passed validation once and then crashed gen-data and run
+# (a numpy UFuncTypeError, an IndexError) or was silently changed (day 10.5
+# read as 10, stream true as 1); the dict path and gen-data must reject it.
+BAD_SCENARIO_VALUES = [
+    pytest.param({"base_levels": ["a", "b"]}, id="base_levels-str"),
+    pytest.param({"base_levels": [float("nan"), 1.0]}, id="base_levels-nan"),
+    pytest.param({"level_shifts": [[10.5, 0, 2.0]]}, id="shift_day-10.5"),
+    pytest.param({"level_shifts": [[10, True, 2.0]]}, id="shift_stream-true"),
+    pytest.param({"level_shifts": [[10, 0, float("inf")]]}, id="shift_mult-inf"),
+    pytest.param({"days_per_week": 0}, id="days_per_week-0"),
+    pytest.param({"seed": -1}, id="seed--1"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_SCENARIO_VALUES)
+def test_bad_scenario_values_fail_validation(tmp_path, capsys, bad):
+    scenario = {**TINY_SCENARIO.to_dict(), **bad}
+    with pytest.raises(ConfigError):
+        config_from_dict({"data_scenario_inline": scenario, "forecaster": "naive",
+                          "window_days": 8})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["gen-data", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--batch", "1"], ["--reps", "0"], ["--alpha", "1.5"],
+                                   ["--alpha", "nan"], ["--seed", "-1"]],
+                         ids=lambda flags: "".join(flags))
+def test_bad_null_study_flags_exit_2(tmp_path, capsys, flags):
+    code = main(["null-study", "--length", "200", "--batch", "20", "--reps", "2", *flags,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "null_study.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_missing_input_files_exit_2(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    if command == "run":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"data_csv": missing, "forecaster": "naive",
+                                      "window_days": 8}))
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["report", "--runlog", missing]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and missing in err
+
+
+def test_gen_data_negative_seed_override_exits_2(tmp_path, capsys):
+    assert main(["gen-data", "--scenario", write_scenario(tmp_path),
+                 "--out", str(tmp_path / "x.csv"), "--seed", "-1"]) == 2
+    assert "config error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from driftmon.errors import ConfigError, InsufficientHistory
 from driftmon.evaluate import build_report, read_runlog, report_to_dict, write_runlog
 from driftmon.features import FeatureSpec
 from driftmon.forecasters import BoostingParams, ForestParams, HyperParams
-from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
+from driftmon.monitor import POLICIES, EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
 from driftmon.pipeline import (
     RunConfig,
     compare_policies,
@@ -23,7 +24,8 @@ from driftmon.pipeline import (
     run,
     run_label,
 )
-from driftmon.simulate import RegimeScenario, gen_regime_streams
+from driftmon.schema import _PARSERS
+from driftmon.simulate import NullStudyConfig, RegimeScenario, gen_regime_streams
 from driftmon.streams import StreamSet
 
 # a small geometry every test here shares: 60-slot days, weekly lag available
@@ -419,3 +421,71 @@ def test_inline_scenario_with_fractional_count_fails_validation():
         config_from_dict({"data_scenario_inline": scenario, "window_days": 8})
     with pytest.raises(ConfigError):
         RegimeScenario(n_days=30.5)
+
+
+def test_scenario_lists_are_stored_as_parsed():
+    # integer base levels used to stay ints, so an equal scenario hashed differently
+    as_ints = RegimeScenario(n_streams=2, base_levels=[20, 30], level_shifts=([5, 0, 2],))
+    as_floats = RegimeScenario(n_streams=2, base_levels=(20.0, 30.0),
+                               level_shifts=((5, 0, 2.0),))
+    assert as_ints.to_dict() == as_floats.to_dict()
+    assert all(type(v) is float for v in as_ints.base_levels + as_ints.level_shifts[0][2:])
+    assert (naive_config(NeverPolicy(), source=as_ints).config_hash()
+            == naive_config(NeverPolicy(), source=as_floats).config_hash())
+
+
+def test_every_config_field_has_a_parser():
+    nested = ("source", "policy", "hyperparams", "feature_spec")
+    classes = [RunConfig, FeatureSpec, *(f.default_factory for f in fields(HyperParams)),
+               *POLICIES.values(), RegimeScenario, NullStudyConfig]
+    for cls in classes:
+        for f in fields(cls):
+            if f.init and f.name not in nested:
+                assert f.type.removesuffix(" | None") in _PARSERS, (cls.__name__, f.name)
+
+
+@st.composite
+def scenario_documents(draw):
+    """Scenario documents whose fields are each valid, or now and then wrong in
+    type, finiteness or range."""
+    n_streams, n_days = draw(st.integers(1, 3)), draw(st.integers(10, 12))
+    nan, inf = float("nan"), float("inf")
+    shift = st.tuples(st.integers(1, n_days), st.integers(0, n_streams - 1),
+                      st.floats(1e-300, 1e60)).map(list)
+    choices = {
+        "n_streams": (st.just(n_streams), [0, -1, 1.5, nan, "x", None, True]),
+        "n_days": (st.sampled_from([n_days, float(n_days), str(n_days)]),
+                   [0, -1, 10.5, inf, "x", None, True]),
+        "slots_per_day": (st.just(60), [0, -60, 59.5, "x", None, False]),
+        "days_per_week": (st.integers(1, 7), [0, -7, 6.5, nan, "x", None, True]),
+        "base_levels": (st.none() | st.lists(st.floats(-1e60, 1e60), min_size=n_streams,
+                                             max_size=n_streams),
+                        [[nan] * n_streams, [inf] * n_streams, ["a"] * n_streams,
+                         [True] * n_streams, [1.0] * (n_streams + 1), 5.0, "x"]),
+        "level_shifts": (st.lists(shift, max_size=3),
+                         [[[0, 0, 2.0]], [[n_days + 1, 0, 2.0]], [[2.5, 0, 2.0]],
+                          [[True, 0, 2.0]], [[2, -1, 2.0]], [[2, n_streams, 2.0]],
+                          [[2, True, 2.0]], [[2, 0, 0.0]], [[2, 0, -1.0]], [[2, 0, nan]],
+                          [[2, 0, inf]], [[2, 0, "x"]], [[2, 0]], [3], "x", None]),
+        "noise_scale": (st.floats(-1e60, 1e60), [nan, inf, "x", None, True]),
+        "noise_correlation": (st.floats(-0.99, 0.99), [1.0, -1.0, nan, "x", None]),
+        "seed": (st.integers(0, 2**32), [-1, 1.5, "x", None, True]),
+    }
+    # each field is wrong about one time in twenty, so about a third of the
+    # documents are valid (7 rather than 0: hypothesis favours the bounds)
+    return {key: draw(st.sampled_from(wrong)) if draw(st.integers(0, 19)) == 7 else draw(valid)
+            for key, (valid, wrong) in choices.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=scenario_documents())
+def test_scenario_documents_fail_validation_or_run(doc):
+    try:
+        config = config_from_dict({"data_scenario_inline": doc, "forecaster": "naive",
+                                   "window_days": 8})
+    except ConfigError:
+        return
+    log = run(config)
+    n_batches = max(r.batch_index for r in log.records)
+    assert len(log.records) == len(log.stream_ids) * n_batches
+    assert all(np.isfinite(r.forecasts).all() for r in log.records)
