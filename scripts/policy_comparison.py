@@ -59,8 +59,10 @@ def main(argv=None) -> int:
 
     tasks = [(seed, args.trees, args.min_node, args.window_days)
              for seed in range(args.seeds)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a pool starts all its workers up front, so never more than seeds or CPUs
+    workers = min(args.threads, args.seeds, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(run_seed, tasks))
     else:
         results = dict(run_seed(t) for t in tasks)

@@ -46,8 +46,8 @@ class EmptyLog(DriftmonError):
     """Report requested from a run log with no recorded batches."""
 
 
-class ConfigError(DriftmonError):
-    """A run configuration value is missing or inconsistent."""
+class ConfigError(DriftmonError, ValueError):
+    """A run configuration value is missing or inconsistent. ``field`` is its flat key."""
 
     def __init__(self, field: str, message: str):
         self.field = field

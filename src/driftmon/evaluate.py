@@ -69,10 +69,7 @@ def sape(actual: float, forecast: float) -> float:
     Clamped at 100: for opposite-sign arguments |a - f| equals |a| + |f|
     exactly, but floating-point rounding can overshoot by an ulp.
     """
-    denom = abs(actual) + abs(forecast)
-    if denom == 0.0:
-        return 0.0
-    return min(100.0, 100.0 * abs(actual - forecast) / denom)
+    return float(sape_values(np.array([actual]), np.array([forecast]))[0])
 
 
 def sape_values(actuals: np.ndarray, forecasts: np.ndarray) -> np.ndarray:

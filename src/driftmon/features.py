@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistory
-from .schema import check_fields
+from .errors import ConfigError, InsufficientHistory
+from .schema import bounded, check_fields
 from .streams import StreamSet
 
 TICKS_PER_HOUR = 4  # base frequency is quarter-hourly
@@ -32,28 +32,22 @@ class FeatureSpec:
     hourly levels.
     """
 
-    lags: tuple[int, ...] = (60, 420)
-    slots_per_day: int = 60
-    days_per_week: int = 7
+    lags: tuple[int, ...] = bounded((60, 420), "[1, inf)")
+    slots_per_day: int = bounded(60, "[1, inf)")
+    days_per_week: int = bounded(7, "[1, inf)")
     include_trend: bool = True
     include_hour_dummies: bool = True
     include_dow_dummies: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lags", tuple(sorted(self.lags)))
         check_fields(self)
+        object.__setattr__(self, "lags", tuple(sorted(self.lags)))
         if not self.lags:
-            raise ValueError("lags must be nonempty")
-        if any(j < 1 for j in self.lags):
-            raise ValueError("lags must be positive")
+            raise ConfigError("lags", "must be nonempty")
         if len(set(self.lags)) != len(self.lags):
-            raise ValueError("lags must be distinct")
-        if self.slots_per_day < 1:
-            raise ValueError("slots_per_day must be >= 1")
-        if self.days_per_week < 1:
-            raise ValueError("days_per_week must be >= 1")
+            raise ConfigError("lags", "must be distinct")
         if self.include_hour_dummies and self.slots_per_day % TICKS_PER_HOUR != 0:
-            raise ValueError("hour dummies need slots_per_day divisible by 4")
+            raise ConfigError("slots_per_day", "must be divisible by 4 for hour dummies")
 
     @property
     def max_lag(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import InsufficientData, InvalidLag, ShapeError
 from ..features import DesignMatrix
-from ..schema import check_fields
+from ..schema import bounded, check_fields
 from .cart import FlatTree, SortedColumns, dump_tree, grow_tree
 from .lasso import LassoFit, lasso_path
 
@@ -42,58 +42,38 @@ class ModelKind(str, Enum):
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_trees: int = 500
-    mtry: int | None = None  # None: floor(p / 3), at least 1
-    min_node_size: int = 5
+    n_trees: int = bounded(500, "[1, inf)")
+    mtry: int | None = bounded(None, "[1, inf)")  # None: floor(p / 3), at least 1
+    min_node_size: int = bounded(5, "[1, inf)")
     bootstrap: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_trees < 1 or self.min_node_size < 1:
-            raise ValueError("n_trees and min_node_size must be >= 1")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError("mtry must be >= 1 when set")
 
 
 @dataclass(frozen=True)
 class BoostingParams:
-    n_rounds: int = 100
-    max_depth: int = 6
-    learning_rate: float = 0.3
-    min_split_gain: float = 0.0
-    colsample: float = 1.0
-    min_child_weight: float = 1.0
-    subsample: float = 1.0
+    n_rounds: int = bounded(100, "[0, inf)")
+    max_depth: int = bounded(6, "[1, inf)")
+    learning_rate: float = bounded(0.3, "(0, 1]")
+    min_split_gain: float = bounded(0.0, "[0, inf)")
+    colsample: float = bounded(1.0, "(0, 1]")
+    min_child_weight: float = bounded(1.0, "[0, inf)")
+    subsample: float = bounded(1.0, "(0, 1]")
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_rounds < 0:
-            raise ValueError("n_rounds must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.colsample <= 1.0 or not 0.0 < self.subsample <= 1.0:
-            raise ValueError("colsample and subsample must be in (0, 1]")
-        if self.min_split_gain < 0.0 or self.min_child_weight < 0.0:
-            raise ValueError("min_split_gain and min_child_weight must be >= 0")
 
 
 @dataclass(frozen=True)
 class LassoParams:
-    n_lambda: int = 100
-    lambda_min_ratio: float = 1e-3
-    tol: float = 1e-9
-    max_iter: int = 10_000
+    n_lambda: int = bounded(100, "[1, inf)")
+    lambda_min_ratio: float = bounded(1e-3, "(0, 1)")
+    tol: float = bounded(1e-9, "(0, inf)")
+    max_iter: int = bounded(10_000, "[1, inf)")
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_lambda < 1 or self.max_iter < 1:
-            raise ValueError("n_lambda and max_iter must be >= 1")
-        if not 0.0 < self.lambda_min_ratio < 1.0:
-            raise ValueError("lambda_min_ratio must be in (0, 1)")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import InsufficientSample
-from .schema import check_fields
+from .schema import bounded, check_fields
 from .stats import TestResult, gaussian_segment_cost, welch_test_from_moments
 
 # Run-log decision labels of a retrain; the others are warmup, accept and
@@ -239,19 +239,12 @@ class Policy:
 
 @dataclass(frozen=True)
 class MeanTestPolicy(Policy):
-    alpha: float = 0.05
-    max_reference_len: int | None = None
+    alpha: float = bounded(0.05, "(0, 1]")
+    max_reference_len: int | None = bounded(None, "[2, inf)")
     reseed_with_rejecting_batch: bool = False
     name: str = field(default="mean_test", init=False)
 
     min_batch_losses: ClassVar[int] = 2  # the Welch test needs a variance
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.max_reference_len is not None and self.max_reference_len < 2:
-            raise ValueError("max_reference_len must be >= 2 when set")
 
     def params(self) -> dict:
         # unset reference options are left out, so configs without them keep their hash
@@ -304,18 +297,11 @@ class PeltPolicy(Policy):
     and the policy then fires on every wiggle.
     """
 
-    penalty: float | None = None
-    min_seg_len: int = 2
+    penalty: float | None = bounded(None, "[0, inf)")
+    min_seg_len: int = bounded(2, "[2, inf)")
     name: str = field(default="pelt", init=False)
 
     key_prefix: ClassVar[str] = "pelt_"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.min_seg_len < 2:
-            raise ValueError("min_seg_len must be >= 2")
-        if self.penalty is not None and self.penalty < 0.0:
-            raise ValueError("penalty must be >= 0 when set")
 
     def penalty_for(self, batches_seen: int) -> float:
         return self.penalty if self.penalty is not None else 3.0 * math.log(batches_seen)
@@ -343,15 +329,10 @@ class PeltPolicy(Policy):
 
 @dataclass(frozen=True)
 class EveryKBatches(Policy):
-    k: int = 1
+    k: int = bounded(1, "[1, inf)")
     name: str = field(default="every_k", init=False)
 
     key_prefix: ClassVar[str] = "every_"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
     def tag(self) -> str:
         return f"every_{self.k}"

@@ -33,7 +33,7 @@ from .forecasters import (
 )
 from .monitor import (POLICIES, MeanTestPolicy, MonitorDecision, MonitorState, Policy,
                       new_state, observe)
-from .schema import check_fields, config_errors, document_hash, parse_field, read_json
+from .schema import bounded, check_fields, config_errors, document_hash, parse_field, read_json
 from .simulate import RegimeScenario, gen_regime_streams
 from .streams import StreamSet, batch_ends, ingest_csv
 
@@ -48,21 +48,17 @@ class RunConfig:
     policy: Policy = field(default_factory=MeanTestPolicy)
     hyperparams: HyperParams = field(default_factory=HyperParams)
     feature_spec: FeatureSpec = field(default_factory=FeatureSpec)
-    window_days: int = 180
-    slots_per_batch: int = 60
+    window_days: int = bounded(180, "[1, inf)")
+    slots_per_batch: int = bounded(60, "[1, inf)")
     horizon: int = 60
     naive_lag: int = 420
-    seed: int = 0
+    seed: int = bounded(0, "[0, inf)")
     out_dir: str | None = None
 
     def __post_init__(self):
         check_fields(self)
         if self.forecaster not in FORECASTERS:
             raise ConfigError("forecaster", f"must be one of {FORECASTERS}")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
-        if self.slots_per_batch < 1:
-            raise ConfigError("slots_per_batch", "must be >= 1")
         if self.horizon < self.policy.min_batch_losses:
             raise ConfigError("horizon", f"must be >= {self.policy.min_batch_losses}: the "
                                          f"{self.policy.name} policy needs that many losses "
@@ -72,8 +68,6 @@ class RunConfig:
                 "horizon", "must be <= slots_per_batch so each loss batch is complete "
                 "before the next decision point"
             )
-        if self.window_days < 1:
-            raise ConfigError("window_days", "must be >= 1")
         if min(self.feature_spec.lags) < self.horizon:
             raise ConfigError(
                 "lags", f"min lag {min(self.feature_spec.lags)} is below the horizon "
@@ -121,14 +115,19 @@ def _flat_fields(cls, prefix: str = "") -> dict:
     return {prefix + f.name: f for f in fields(cls) if f.init and f.name not in _NESTED}
 
 
+def config_fields() -> dict:
+    """Flat key -> dataclass field, for every key but the sources and ``policy``."""
+    out = {**_flat_fields(RunConfig), **_flat_fields(FeatureSpec)}
+    for name, cls in _HP_SECTIONS.items():
+        out.update(_flat_fields(cls, f"{name}_"))
+    for cls in POLICIES.values():
+        out.update(_flat_fields(cls, cls.key_prefix))
+    return out
+
+
 def config_keys() -> set[str]:
     """Every key a flat config document may hold."""
-    keys = {*SOURCES, "policy", *_flat_fields(RunConfig), *_flat_fields(FeatureSpec)}
-    for name, cls in _HP_SECTIONS.items():
-        keys.update(_flat_fields(cls, f"{name}_"))
-    for cls in POLICIES.values():
-        keys.update(_flat_fields(cls, cls.key_prefix))
-    return keys
+    return {*SOURCES, "policy", *config_fields()}
 
 
 def _parse(data: dict, cls, prefix: str = "") -> dict:
@@ -146,14 +145,16 @@ def config_from_dict(data: dict) -> RunConfig:
     if len(sources) != 1:
         raise ConfigError("data_csv", "exactly one of data_csv, data_scenario, "
                                       "data_scenario_inline is required")
-    with config_errors("config"):
+    with config_errors(sources[0]):  # a scenario's own errors name their field
         if "data_csv" in data:
             source: str | RegimeScenario = str(data["data_csv"])
         elif "data_scenario_inline" in data:
             source = RegimeScenario.from_dict(data["data_scenario_inline"])
         else:
             source = RegimeScenario.from_dict(read_json(data["data_scenario"], "data_scenario"))
-        policy_cls = POLICIES.get(data.get("policy", "mean_test"))
+    with config_errors("config"):
+        name = data.get("policy", "mean_test")
+        policy_cls = POLICIES.get(name) if isinstance(name, str) else None
         if policy_cls is None:
             raise ConfigError("policy", f"unknown policy {data['policy']!r}")
         policy = policy_cls(**_parse(data, policy_cls, policy_cls.key_prefix))

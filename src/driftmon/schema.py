@@ -2,10 +2,11 @@
 
 ``parse_field`` reads a flat JSON value as its field's annotated type
 (``int``, ``float | None``, ``bool``, ``tuple[int, ...]``, ...), accepting
-only lossless spellings such as ``8.0`` or ``"8"`` for an int. The config
-dataclasses call ``check_fields``, which stores each field as its parser
-reads it, so both paths reject the same values and equal configs hold (and
-hash) equal values.
+only lossless spellings such as ``8.0`` or ``"8"`` for an int, and then
+checks the value against the interval its field declares with ``bounded``.
+The config dataclasses call ``check_fields``, which stores each field as its
+parser reads it, so both paths reject the same values and equal configs hold
+(and hash) equal values. A rejected value raises ConfigError naming its key.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import Field, fields
+from dataclasses import Field, field, fields
 
 from .errors import ConfigError
 
@@ -56,19 +57,38 @@ _PARSERS = {"int": _int, "float": _float, "bool": _bool, "str": str,
             "tuple[tuple[int, int, float], ...]": _tuple(_tuple(_int, _int, _float), ...)}
 
 
+def bounded(default, interval: str):
+    """A dataclass field whose value, or each entry of a list value, lies in
+    ``interval``: ``[1, inf)``, ``(0, 1]`` and the like. ``None`` passes for an
+    optional field. Metadata is not hashed, so ``config_hash`` ignores it."""
+    return field(default=default, metadata={"range": interval})
+
+
+def _check_range(interval: str, value) -> None:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    for x in value if isinstance(value, tuple) else (value,):
+        if not ((lo < x or interval[0] == "[" and x == lo)
+                and (x < hi or interval[-1] == "]" and x == hi)):
+            raise ValueError(f"{x!r} is outside {interval}")
+
+
 def parse_field(f: Field, key: str, value):
-    """The flat value ``value`` of key ``key`` as field ``f``'s type."""
+    """The flat value ``value`` of key ``key`` as field ``f``'s type, inside its range."""
     kind = f.type.removesuffix(" | None")
     if value is None and kind != f.type:
         return None
     with config_errors(key):
-        return _PARSERS[kind](value)
+        out = _PARSERS[kind](value)
+        if "range" in f.metadata:
+            _check_range(f.metadata["range"], out)
+        return out
 
 
 def check_fields(obj) -> None:
     """Store each typed field of ``obj`` as its parser reads it.
 
-    A value the parser rejects raises ConfigError. ``obj`` may be frozen.
+    A value the parser rejects raises ConfigError naming the field. ``obj``
+    may be frozen.
     """
     for f in fields(obj):
         if f.type.removesuffix(" | None") in _PARSERS:
@@ -87,9 +107,12 @@ def stamp_line(config_hash: str, seed: int) -> str:
 
 @contextmanager
 def config_errors(key: str):
-    """Report a TypeError or ValueError raised while building a config as ConfigError ``key``."""
+    """Report a TypeError or ValueError raised while building a config as ConfigError
+    ``key``; a ConfigError, which names its own key, passes unchanged."""
     try:
         yield
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc))
 

@@ -16,6 +16,7 @@ the raw batches.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .monitor import MeanTestPolicy, new_state, observe, row_moments
-from .schema import check_fields
-from .streams import StreamSet
+from .schema import bounded, check_fields
+from .streams import MAX_MAGNITUDE, StreamSet
 
 DISTRIBUTIONS = ("gaussian", "chisquare5")
 
@@ -65,26 +66,18 @@ class NullStudyConfig:
 
     distribution: str = "gaussian"
     stream_length: int = 10_000
-    batch_size: int = 50
-    alpha: float = 0.05
-    n_replications: int = 1_000
-    seed: int = 0
+    batch_size: int = bounded(50, "[2, inf)")
+    alpha: float = bounded(0.05, "(0, 1]")
+    n_replications: int = bounded(1_000, "[1, inf)")
+    seed: int = bounded(0, "[0, inf)")
     reseed_with_rejecting_batch: bool = True
 
     def __post_init__(self):
         check_fields(self)
         if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise ConfigError("distribution", f"must be one of {DISTRIBUTIONS}")
         if self.stream_length < 2 * self.batch_size:
-            raise ValueError("stream_length must be >= 2 * batch_size")
-        if self.n_replications < 1:
-            raise ValueError("n_replications must be >= 1")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+            raise ConfigError("stream_length", "must be >= 2 * batch_size")
 
 
 def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int]:
@@ -110,15 +103,22 @@ def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int
 
 
 def run_null_study(config: NullStudyConfig, threads: int = 1) -> float:
-    """Empirical rejection frequency of the monitor under a stable stream."""
+    """Empirical rejection frequency of the monitor under a stable stream.
+
+    ``threads`` caps the worker processes, which never outnumber the
+    replications or the CPUs: a pool starts all its workers up front.
+    """
+    if threads < 1:
+        raise ConfigError("threads", f"{threads!r} is outside [1, inf)")
     replicate = partial(_null_study_replication, config)
     reps = range(config.n_replications)
-    if threads <= 1 or config.n_replications == 1:
+    workers = min(threads, len(reps), os.cpu_count() or 1)
+    if workers == 1:
         results = list(map(replicate, reps))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(replicate, reps,
-                                    chunksize=math.ceil(len(reps) / (4 * threads))))
+                                    chunksize=math.ceil(len(reps) / (4 * workers))))
     rejections, tests = map(sum, zip(*results))
     return rejections / tests
 
@@ -136,39 +136,36 @@ class RegimeScenario:
     (day, stream index, multiplier); the multiplier applies from that day on.
     """
 
-    n_streams: int = 4
-    n_days: int = 120
-    slots_per_day: int = 60
-    days_per_week: int = 7
-    base_levels: tuple[float, ...] | None = None
+    n_streams: int = bounded(4, "[1, inf)")
+    n_days: int = bounded(120, "[1, inf)")
+    slots_per_day: int = bounded(60, "[1, inf)")
+    days_per_week: int = bounded(7, "[1, inf)")
+    # magnitudes stay below MAX_MAGNITUDE: squared-error moments overflowed at 1e100
+    base_levels: tuple[float, ...] | None = bounded(None, "(-1e50, 1e50)")
     level_shifts: tuple[tuple[int, int, float], ...] = ()
-    noise_scale: float = 2.0
-    noise_correlation: float = 0.0
-    seed: int = 0
+    noise_scale: float = bounded(2.0, "(-1e50, 1e50)")
+    noise_correlation: float = bounded(0.0, "(-1, 1)")
+    seed: int = bounded(0, "[0, inf)")
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.n_streams, self.n_days, self.slots_per_day, self.days_per_week) < 1:
-            raise ValueError("n_streams, n_days, slots_per_day, days_per_week must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
         if self.base_levels is not None and len(self.base_levels) != self.n_streams:
-            raise ValueError("base_levels length must equal n_streams")
-        if not -1.0 < self.noise_correlation < 1.0:
-            raise ValueError("noise_correlation must be in (-1, 1)")
+            raise ConfigError("base_levels", "length must equal n_streams")
         if self.noise_correlation < 0.0 and self.n_streams != 2:
-            raise ValueError("negative common-factor correlation only supported for 2 streams")
-        peaks = [abs(level) for level in self.stream_levels] + [abs(self.noise_scale)]
+            raise ConfigError("noise_correlation",
+                              "a negative common-factor correlation needs exactly 2 streams")
+        peaks = [abs(level) for level in self.stream_levels]
         for day, stream, mult in self.level_shifts:
             if not 1 <= day <= self.n_days:
-                raise ValueError(f"shift day {day} outside 1..{self.n_days}")
+                raise ConfigError("level_shifts", f"shift day {day} outside 1..{self.n_days}")
             if not 0 <= stream < self.n_streams:
-                raise ValueError(f"shift stream {stream} outside 0..{self.n_streams - 1}")
+                raise ConfigError("level_shifts",
+                                  f"shift stream {stream} outside 0..{self.n_streams - 1}")
             if mult <= 0.0:
-                raise ValueError("shift multipliers must be > 0")
+                raise ConfigError("level_shifts", "shift multipliers must be > 0")
             peaks[stream] *= max(mult, 1.0)
-        if max(peaks) >= 1e50:  # squared-error moments overflowed at 1e100
-            raise ValueError("levels, shifts applied, and noise_scale must be below 1e50")
+        if max(peaks) >= MAX_MAGNITUDE:
+            raise ConfigError("level_shifts", "levels with shifts applied must be below 1e50")
 
     @property
     def stream_levels(self) -> tuple[float, ...]:

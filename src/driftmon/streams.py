@@ -10,14 +10,17 @@ package emits.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IncompletePanel, ParseError
+from .schema import check_fields
 
 CSV_HEADER = ["tick", "stream_id", "value"]
+# Bound on the magnitude of a panel value: squared forecast errors of values
+# near 1e100, and their moments, overflow in the monitor's tests.
+MAX_MAGNITUDE = 1e50
 
 
 @dataclass(frozen=True)
@@ -30,9 +33,10 @@ class StreamSet:
 
     values: np.ndarray  # (T, D) float64
     stream_ids: tuple[str, ...]
-    slots_per_batch: int
+    slots_per_batch: int = field(metadata={"range": "[1, inf)"})
 
     def __post_init__(self):
+        check_fields(self)
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a (T, D) matrix")
@@ -42,8 +46,6 @@ class StreamSet:
             raise ValueError("stream_ids must be unique")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.slots_per_batch < 1:
-            raise ValueError("slots_per_batch must be >= 1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stream_ids", tuple(self.stream_ids))
@@ -72,8 +74,9 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
 
     The file must contain the full tick x stream grid with ticks 1..T.
     Streams are ordered by first appearance. Raises ParseError with the
-    offending 1-based line number for malformed rows or non-finite values,
-    IncompletePanel for a missing grid cell.
+    offending 1-based line number for malformed rows or values that are not
+    finite numbers below MAX_MAGNITUDE in magnitude, IncompletePanel for a
+    missing grid cell.
     """
     cells: dict[tuple[int, str], float] = {}
     stream_order: list[str] = []
@@ -105,8 +108,9 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
                 value = float(raw_value)
             except ValueError:
                 raise ParseError(line_no, f"value {raw_value!r} is not a number")
-            if not math.isfinite(value):
-                raise ParseError(line_no, f"value {raw_value!r} is not finite")
+            if not abs(value) < MAX_MAGNITUDE:  # nan and inf included
+                raise ParseError(line_no, f"value {raw_value!r} is not a finite number "
+                                          "below 1e50 in magnitude")
             key = (tick, stream_id)
             if key in cells:
                 raise ParseError(line_no, f"duplicate cell tick={tick}, stream={stream_id!r}")

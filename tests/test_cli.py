@@ -232,3 +232,28 @@ def test_gen_data_negative_seed_override_exits_2(tmp_path, capsys):
     assert main(["gen-data", "--scenario", write_scenario(tmp_path),
                  "--out", str(tmp_path / "x.csv"), "--seed", "-1"]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+def test_null_study_threads_below_one_exits_2(tmp_path, capsys):
+    code = main(["null-study", "--length", "200", "--batch", "20", "--reps", "2",
+                 "--threads", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: config field 'threads'")
+    assert not (tmp_path / "null_study.csv").exists()
+
+
+def test_csv_panel_value_past_1e50_is_a_parse_error(tmp_path, capsys):
+    # a panel scaled to about 1e98 passed ingest and then crashed the mean
+    # test: the incomplete beta function did not converge on NaN moments
+    panel = tmp_path / "panel.csv"
+    assert main(["gen-data", "--scenario", write_scenario(tmp_path), "--out", str(panel)]) == 0
+    stamp, header, *rows = panel.read_text().splitlines()
+    scaled = [f"{tick},{stream},{float(value) * 1e98!r}"
+              for tick, stream, value in (row.split(",") for row in rows)]
+    panel.write_text("\n".join([stamp, header, *scaled]) + "\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"data_csv": str(panel), "forecaster": "naive",
+                                  "window_days": 8}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: row 3: value ")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from driftmon.errors import ConfigError, InsufficientHistory
 from driftmon.evaluate import build_report, read_runlog, report_to_dict, write_runlog
 from driftmon.features import FeatureSpec
-from driftmon.forecasters import BoostingParams, ForestParams, HyperParams
+from driftmon.forecasters import BoostingParams, ForestParams, HyperParams, LassoParams
 from driftmon.monitor import POLICIES, EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy
 from driftmon.pipeline import (
     RunConfig,
@@ -241,7 +241,7 @@ def test_lean_records_share_the_panel_and_round_trip(tmp_path):
 @given(n_streams=st.integers(1, 3),
        policy=st.sampled_from([MeanTestPolicy(alpha=0.2), PeltPolicy(min_seg_len=2),
                                EveryKBatches(k=2), NeverPolicy()]),
-       forecaster=st.sampled_from(["naive", "forest"]),
+       forecaster=st.sampled_from(["naive", "lasso", "forest", "boosting"]),
        horizon=st.sampled_from([1, 2, 4]),
        slots_per_batch=st.sampled_from([2, 4, 6]),
        lags=st.sampled_from([(2, 12), (4, 24), (6, 12)]),
@@ -252,7 +252,9 @@ def test_runlog_round_trip_property(n_streams, policy, forecaster, horizon, slot
                               level_shifts=((6, 0, 3.0),), noise_scale=1.0, seed=seed)
     try:
         config = RunConfig(source=scenario, forecaster=forecaster, policy=policy,
-                           hyperparams=HyperParams(forest=ForestParams(n_trees=2)),
+                           hyperparams=HyperParams(forest=ForestParams(n_trees=2),
+                                                   lasso=LassoParams(n_lambda=5),
+                                                   boosting=BoostingParams(n_rounds=2)),
                            feature_spec=FeatureSpec(lags=lags, slots_per_day=12),
                            window_days=4, slots_per_batch=slots_per_batch, horizon=horizon,
                            naive_lag=lags[-1], seed=seed)

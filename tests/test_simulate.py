@@ -1,6 +1,11 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
+from driftmon import simulate
+from driftmon.errors import ConfigError
 from driftmon.monitor import MeanTestPolicy, new_state, observe
 from driftmon.simulate import (
     NullStudyConfig,
@@ -47,6 +52,46 @@ def test_null_study_deterministic_and_thread_invariant():
     again = run_null_study(config)
     threaded = run_null_study(config, threads=2)
     assert serial == again == threaded
+
+
+@pytest.mark.parametrize("threads, cpus, reps, workers", [
+    (5000, 4, 8, 4),     # capped at the CPUs
+    (5000, 64, 3, 3),    # capped at the replications
+    (2, 4, 8, 2),        # as asked
+    (5000, 1, 8, None),  # one CPU: no pool
+    (5000, None, 8, None),
+])
+def test_null_study_worker_count_is_capped(monkeypatch, threads, cpus, reps, workers):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps in process."""
+
+        def __init__(self, max_workers):
+            self.size = max_workers
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            assert chunksize == math.ceil(len(items) / (4 * self.size))
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = NullStudyConfig(**{**TINY, "n_replications": reps})
+    assert run_null_study(config, threads=threads) == run_null_study(config)
+    assert started == ([] if workers is None else [workers])
+
+
+def test_null_study_rejects_fewer_than_one_thread():
+    with pytest.raises(ConfigError) as exc:
+        run_null_study(NullStudyConfig(**TINY), threads=0)
+    assert exc.value.field == "threads"
 
 
 def test_null_study_monotone_in_alpha_per_replication():
