@@ -1,7 +1,7 @@
 """Forecast models: seasonal-lag naive, lasso, random forest, gradient boosting."""
 
 from .cart import FlatTree, SortedColumns, dump_tree, grow_tree
-from .lasso import LassoFit, coordinate_descent, fit_at_lambda, lasso_path, soft_threshold
+from .lasso import LassoFit, fit_at_lambda, lasso_path, soft_threshold
 from .models import (
     BoostingParams,
     EnsemblePayload,

@@ -154,13 +154,15 @@ def config_from_dict(data: dict) -> RunConfig:
             source = RegimeScenario.from_dict(read_json(data["data_scenario"], "data_scenario"))
     with config_errors("config"):
         name = data.get("policy", "mean_test")
-        policy_cls = POLICIES.get(name) if isinstance(name, str) else None
-        if policy_cls is None:
-            raise ConfigError("policy", f"unknown policy {data['policy']!r}")
-        policy = policy_cls(**_parse(data, policy_cls, policy_cls.key_prefix))
-        hp = HyperParams(**{name: cls(**_parse(data, cls, f"{name}_"))
-                            for name, cls in _HP_SECTIONS.items()})
-        return RunConfig(source=source, policy=policy, hyperparams=hp,
+        if not (isinstance(name, str) and name in POLICIES):
+            raise ConfigError("policy", f"unknown policy {name!r}")
+        # Every policy and forecaster section checks its own keys; the run
+        # uses only the selected ones.
+        policies = {key: cls(**_parse(data, cls, cls.key_prefix))
+                    for key, cls in POLICIES.items()}
+        hp = HyperParams(**{key: cls(**_parse(data, cls, f"{key}_"))
+                            for key, cls in _HP_SECTIONS.items()})
+        return RunConfig(source=source, policy=policies[name], hyperparams=hp,
                          feature_spec=FeatureSpec(**_parse(data, FeatureSpec)),
                          **_parse(data, RunConfig))
 

@@ -26,7 +26,7 @@ from driftmon.pipeline import (
 )
 from driftmon.schema import _PARSERS
 from driftmon.simulate import NullStudyConfig, RegimeScenario, gen_regime_streams
-from driftmon.streams import StreamSet
+from driftmon.streams import StreamSet, write_csv
 
 # a small geometry every test here shares: 60-slot days, weekly lag available
 SMALL_SPEC = FeatureSpec(lags=(60, 420), slots_per_day=60)
@@ -85,6 +85,20 @@ def test_model_token_changes_exactly_at_retrains():
                 assert cur.model_token != prev.model_token
             else:
                 assert cur.model_token == prev.model_token
+
+
+def test_lasso_run_on_a_panel_with_a_duplicated_stream(tmp_path):
+    # identical streams make every lag column appear twice in the design
+    base = gen_regime_streams(tiny_scenario(3, n_days=24, noise=1.0))
+    values = np.repeat(base.values[:, :1], 2, axis=1)
+    path = str(tmp_path / "twins.csv")
+    write_csv(StreamSet(values=values, stream_ids=("a", "b"), slots_per_batch=60), path)
+    config = RunConfig(source=path, forecaster="lasso", policy=EveryKBatches(k=2),
+                       hyperparams=HyperParams(lasso=LassoParams(n_lambda=20)),
+                       feature_spec=SMALL_SPEC, window_days=8, seed=3)
+    log = run(config)
+    assert log.records
+    assert all(np.all(np.isfinite(r.forecasts)) for r in log.records)
 
 
 def test_breaks_in_report_match_retrain_records():
@@ -291,6 +305,14 @@ def test_config_from_dict_rejects_unknown_keys():
     assert "typo_key" in str(exc.value)
     with pytest.raises(ConfigError):
         config_from_dict({})  # no data source
+
+
+@pytest.mark.parametrize("key, value", [("pelt_min_seg_len", 1), ("every_k", 0)])
+def test_config_from_dict_checks_keys_of_unselected_policies(key, value):
+    # the policy is the default mean_test, yet another policy's bad value still fails
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"data_csv": "x.csv", key: value})
+    assert exc.value.field == key
 
 
 def _inline(**overrides):
