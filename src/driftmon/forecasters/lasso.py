@@ -35,8 +35,10 @@ lambda_max keeps the solver's steps independent of the scale of y.
 
 A geometric grid runs from lambda_max down to lambda_max * lambda_min_ratio,
 and the reported fit minimizes BIC = n log(RSS/n) + k log(n) with
-k = active slopes + 1, RSS taken from the explicit residual. The intercept is
-never penalized: it is recovered from the column means after de-scaling.
+k = active slopes + 1, RSS taken from the explicit residual and floored at
+1e-12 of the centred response's sum of squares, so that the selected lambda
+scales with y. The intercept is never penalized: it is recovered from the
+column means after de-scaling.
 """
 
 from __future__ import annotations
@@ -260,10 +262,11 @@ def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
     """Fit the full grid and return the BIC-selected solution."""
     Xs, yc, destandardize = _standardize(X, y)
     n, p_kept = Xs.shape
+    tss = float(yc @ yc)
+    floor_scale = tss or 1.0  # the BIC floor on RSS is relative to it
     if p_kept == 0:
-        rss = float(yc @ yc)
-        return LassoFit(*destandardize(np.zeros(0)), lam=0.0, bic=bic(rss, n, 1), rss=rss,
-                        lambda_grid=np.array([0.0]), n_nonzero_path=np.array([0]))
+        return LassoFit(*destandardize(np.zeros(0)), lam=0.0, bic=bic(tss, n, 1, floor_scale),
+                        rss=tss, lambda_grid=np.array([0.0]), n_nonzero_path=np.array([0]))
 
     G, c = _gram(Xs, yc)
     lam_max = float(np.max(np.abs(c)))
@@ -282,7 +285,7 @@ def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
         rss = float(residual @ residual)
         k = int(np.count_nonzero(beta)) + 1
         grid_nonzero[i] = k - 1
-        score = bic(rss, n, k)
+        score = bic(rss, n, k, floor_scale)
         if path is not None:
             path.append((float(lam), *destandardize(beta)))
         if best is None or score < best[0]:

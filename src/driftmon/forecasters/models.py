@@ -69,7 +69,7 @@ class BoostingParams:
 class LassoParams:
     n_lambda: int = bounded(100, "[1, inf)")
     lambda_min_ratio: float = bounded(1e-3, "(0, 1)")
-    tol: float = bounded(1e-9, "(0, inf)")
+    tol: float = bounded(1e-9, "[1e-15, inf)")
     max_iter: int = bounded(10_000, "[1, inf)")
 
     def __post_init__(self):

@@ -14,8 +14,9 @@ should be refit:
   per-batch mean losses accumulated since the last retrain; a detected
   changepoint triggers retraining and restarts the history after it. The
   history (a PeltHistory) carries the segment costs of earlier steps, so
-  each step computes only the costs it has not seen; the search itself
-  re-runs every step, because the default penalty changes with every batch.
+  each step computes only the costs it has not seen. With a fixed penalty
+  it also carries the search, which a step resumes at the new batch; the
+  default penalty changes with every batch, so then the search re-runs.
 * EveryKBatches / NeverPolicy: deterministic schedules.
 
 Each policy class implements the Policy interface (its step, decision label,
@@ -152,6 +153,29 @@ class ReferenceBatch:
                 self.n, self.mean, self._m2 = kept.n, kept.mean, kept.m2
 
 
+class PeltSearch:
+    """A PELT search solved up to end ``len(F) - 1`` for one penalty and ``min_seg_len``.
+
+    ``F[s]`` is the optimal penalized cost of the first ``s`` values and
+    ``prev[s]`` the start of its last segment; ``candidates`` are the live
+    last-segment starts and ``remove_at[tau]`` the end from which a dominated
+    ``tau`` is dropped. None of them depends on values after the solved end,
+    so an appended value needs only the step for the new end.
+    """
+
+    __slots__ = ("penalty", "min_seg_len", "F", "prev", "candidates", "remove_at")
+
+    def __init__(self, penalty: float, min_seg_len: int):
+        self.penalty = penalty
+        self.min_seg_len = min_seg_len
+        # ends 1 .. min_seg_len - 1 are never a segment end; F holds Python
+        # floats: float64 sums, as in an array
+        self.F = [-penalty] + [math.inf] * (min_seg_len - 1)
+        self.prev = [0] * min_seg_len
+        self.candidates: list[int] = []
+        self.remove_at: dict[int, int] = {}
+
+
 class PeltHistory(list):
     """Per-batch mean losses since the last retrain, with their segment costs.
 
@@ -159,17 +183,24 @@ class PeltHistory(list):
     depends on the values alone, not on the penalty, and the history only
     grows, so ``pelt`` fills the cache on a miss and every later search on
     this history reuses it. Keyed per end, then per start: tuple keys cost
-    twice the memory. Only ``append`` and ``after`` keep the cache valid.
+    twice the memory. ``search`` is the state of the last search (None
+    before the first): a search with the same penalty and ``min_seg_len``
+    resumes it at the first unsolved end. Only ``append`` and ``after`` keep
+    the cache and the search valid.
     """
 
-    __slots__ = ("costs",)
+    __slots__ = ("costs", "search")
 
     def __init__(self, values=()):
         super().__init__(values)
         self.costs: dict[int, dict[int, float]] = {}
+        self.search: PeltSearch | None = None
 
     def after(self, start: int) -> PeltHistory:
-        """The history from ``start`` on, with the cached costs that lie inside it."""
+        """The history from ``start`` on, with the cached costs that lie inside it.
+
+        The search state is not kept: its ends count from the old start.
+        """
         rest = PeltHistory(self[start:])
         rest.costs = {end - start: {tau - start: c for tau, c in row.items() if tau >= start}
                       for end, row in self.costs.items() if end > start}
@@ -384,8 +415,13 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     ``cost`` is called only for segments whose cost is not cached yet: a
     PeltHistory keeps its costs across calls (the caller keeps ``cost`` the
     same for one history), any other sequence starts with an empty cache.
+    A PeltHistory also keeps the search itself: called again with the same
+    penalty and ``min_seg_len`` after appends, ``pelt`` runs only the new
+    ends, so a step costs O(live candidates). Any other call solves every
+    end from ``min_seg_len`` on, O(history x candidates).
     """
-    x = np.asarray(values, dtype=float)
+    history = values if isinstance(values, PeltHistory) else PeltHistory(values)
+    x = np.asarray(history, dtype=float)
     n = x.size
     L = min_seg_len
     if L < 2:
@@ -393,19 +429,16 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     if n < L:
         raise InsufficientSample(f"need >= {L} points, got {n}")
 
-    costs = getattr(values, "costs", None)
-    if costs is None:
-        costs = {}
-    penalty = float(penalty)  # F holds Python floats: float64 sums, as in an array
-    F = [math.inf] * (n + 1)
-    F[0] = -penalty
-    prev = [0] * (n + 1)
-    candidates: list[int] = []
+    penalty = float(penalty)
+    search = history.search
+    if search is None or search.penalty != penalty or search.min_seg_len != L:
+        search = history.search = PeltSearch(penalty, L)
+    costs = history.costs
+    F, prev, candidates, remove_at = search.F, search.prev, search.candidates, search.remove_at
     # A dominated candidate tau stays usable until step s + L: the dominating
     # candidate s only becomes admissible once the segment after it can reach
     # the minimum length, so earlier removal would not be exact.
-    remove_at: dict[int, int] = {}
-    for s in range(L, n + 1):
+    for s in range(len(F), n + 1):
         t_new = s - L
         if t_new == 0 or t_new >= L:
             candidates.append(t_new)
@@ -413,7 +446,7 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
         active: list[int] = []
         seg_costs: list[float] = []
         for tau in candidates:
-            if remove_at.get(tau, n + L + 1) <= s:
+            if remove_at.get(tau, s + 1) <= s:
                 continue
             active.append(tau)
             c = known.get(tau)
@@ -427,12 +460,12 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
             if total < best:
                 best = total
                 best_tau = tau
-        F[s] = best
-        prev[s] = best_tau
+        F.append(best)
+        prev.append(best_tau)
         for tau, c in zip(active, seg_costs):
             if F[tau] + c > best and tau not in remove_at:
                 remove_at[tau] = s + L
-        candidates = active
+        candidates[:] = active
 
     changepoints = []
     t = n

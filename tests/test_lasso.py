@@ -221,7 +221,7 @@ def test_solver_steps_do_not_depend_on_the_scale_of_y(monkeypatch):
     monkeypatch.setattr(lasso, "_polish", polish)
     X, y = random_problem(6)
     base = lasso_path(X, y)
-    for scale in (1e-3, 1e8):
+    for scale in (1e-8, 1e-3, 1e8):  # at 1e-8 every RSS on the path is below 1e-12
         fit = lasso_path(X, y * scale)
         assert fit.lam == pytest.approx(base.lam * scale, rel=1e-12)
         assert np.allclose(fit.slopes, base.slopes * scale, rtol=1e-9, atol=0.0)

@@ -338,6 +338,40 @@ def test_pelt_on_a_plain_sequence_starts_a_fresh_cache():
     assert len(set(calls[2 * n_first:])) == len(calls) - 2 * n_first  # no pair twice
 
 
+def test_fixed_penalty_pelt_resumes_at_the_new_end():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.normal(size=30), 3.0 + rng.normal(size=30)])
+    calls = []
+
+    def counting_cost(segment):
+        calls.append((_segment_start(segment), segment.size))
+        return monitor.gaussian_segment_cost(segment)
+
+    history = PeltHistory(x[:4])
+    pelt(history, 8.0, 3, counting_cost)
+    for end in range(5, x.size + 1):
+        history.append(x[end - 1])
+        history.costs.clear()  # the resumed step reads no cost of an earlier end
+        calls.clear()
+        got = pelt(history, 8.0, 3, counting_cost)
+        assert all(start + size == end for start, size in calls)
+        assert len(calls) == len(history.search.candidates)  # O(live candidates)
+        assert got == pelt(list(history), 8.0, 3)
+
+
+def test_pelt_with_another_penalty_or_min_seg_len_solves_afresh():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.normal(size=25), 4.0 + rng.normal(size=25)])
+    history = PeltHistory(x[:6])
+    for end, (penalty, min_seg_len) in enumerate(
+            [(6.0, 2), (6.0, 3), (9.0, 3), (6.0, 2), (6.0, 2), (2.0, 2)] * 7, start=7):
+        history.append(x[end - 1])
+        got = pelt(history, penalty, min_seg_len)
+        assert (history.search.penalty, history.search.min_seg_len) == (penalty, min_seg_len)
+        assert got == pelt(list(history), penalty, min_seg_len)
+    assert history.after(10).search is None
+
+
 def test_pelt_history_after_keeps_only_costs_inside():
     history = PeltHistory([1.0, 2.0, 4.0, 8.0, 16.0])
     pelt(history, 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special
 from scipy import stats as scipy_stats
 
@@ -148,6 +149,7 @@ def test_bic():
     n = 37
     assert bic(5.0, n, 3) - bic(5.0, n, 2) == pytest.approx(math.log(n))
     assert bic(0.0, 5, 1) == bic(1e-12, 5, 1)  # floor engages
+    assert bic(0.0, 5, 1, tss=4.0) == bic(4e-12, 5, 1)  # relative to tss
     with pytest.raises(ValueError):
         bic(-1.0, 5, 1)
     with pytest.raises(ValueError):
@@ -161,6 +163,19 @@ def test_gaussian_segment_cost_values():
     assert flat == pytest.approx(n * (math.log(2 * math.pi) + math.log(1e-8) + 1))
     with pytest.raises(InsufficientSample):
         gaussian_segment_cost([1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.integers(2, 400),
+                     elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+       strided=st.booleans(), exponent=st.integers(-100, 100))
+def test_segment_cost_equals_the_np_var_formula_exactly(values, strided, exponent):
+    seg = values * 10.0 ** exponent
+    if strided:
+        seg = np.repeat(seg, 2)[::2]
+    n = seg.size
+    expected = n * (math.log(2 * math.pi) + math.log(max(float(np.var(seg)), 1e-8)) + 1.0)
+    assert gaussian_segment_cost(seg) == expected
 
 
 @settings(max_examples=60, deadline=None)
