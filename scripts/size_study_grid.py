@@ -3,7 +3,8 @@
 Sweeps stream lengths x batch sizes x test sizes for both supported
 distributions and writes one CSV row per cell. The full grid at 1000
 replications takes tens of minutes on a small machine; trim with --reps or
---lengths for a quick look.
+--lengths for a quick look. The first line stamps the grid with a hash of
+every argument except --out and --threads, and the seed.
 
 Usage:
     python scripts/size_study_grid.py --out results/null_study.csv --threads 2
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 
+from driftmon.schema import document_hash, stamp_line
 from driftmon.simulate import DISTRIBUTIONS, NullStudyConfig, run_null_study
 
 
@@ -30,9 +32,11 @@ def main(argv=None) -> int:
     parser.add_argument("--alphas", type=float, nargs="+", default=[0.05, 0.01])
     args = parser.parse_args(argv)
 
+    # the stamp hashes every argument that changes the grid's numbers
+    grid = {k: v for k, v in vars(args).items() if k not in ("out", "threads")}
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        handle.write(f"# seed={args.seed} reps={args.reps}\n")
+        handle.write(f"# {stamp_line(document_hash(grid), args.seed)}\n")
         writer = csv.writer(handle)
         writer.writerow(["distribution", "length", "batch", "alpha", "rejection_freq"])
         for dist in DISTRIBUTIONS:

@@ -13,10 +13,10 @@ should be refit:
 * PeltPolicy: run an exact penalized changepoint segmentation over the
   per-batch mean losses accumulated since the last retrain; a detected
   changepoint triggers retraining and restarts the history after it. The
-  history (a PeltHistory) carries the segment costs of earlier steps, so
-  each step computes only the costs it has not seen. With a fixed penalty
-  it also carries the search, which a step resumes at the new batch; the
-  default penalty changes with every batch, so then the search re-runs.
+  history (a PeltHistory) carries the search, which a step with a fixed
+  penalty resumes at the new batch. The default penalty changes with every
+  batch, so then the search re-runs from scratch, reading the segment costs
+  that earlier re-runs cached in the history.
 * EveryKBatches / NeverPolicy: deterministic schedules.
 
 Each policy class implements the Policy interface (its step, decision label,
@@ -181,12 +181,14 @@ class PeltHistory(list):
 
     ``costs[end][start]`` is the segment cost of ``self[start:end]``. A cost
     depends on the values alone, not on the penalty, and the history only
-    grows, so ``pelt`` fills the cache on a miss and every later search on
-    this history reuses it. Keyed per end, then per start: tuple keys cost
-    twice the memory. ``search`` is the state of the last search (None
-    before the first): a search with the same penalty and ``min_seg_len``
-    resumes it at the first unsolved end. Only ``append`` and ``after`` keep
-    the cache and the search valid.
+    grows, so a search that starts from scratch reads the cache and fills it
+    on a miss. Keyed per end, then per start: tuple keys cost twice the
+    memory. ``search`` is the state of the last search (None before the
+    first): a search with the same penalty and ``min_seg_len`` resumes it at
+    the first unsolved end and stores no costs, since no later step of that
+    search reads them. So a history under a fixed penalty holds only the
+    rows of its first search. Only ``append`` and ``after`` keep the cache
+    and the search valid.
     """
 
     __slots__ = ("costs", "search")
@@ -197,14 +199,11 @@ class PeltHistory(list):
         self.search: PeltSearch | None = None
 
     def after(self, start: int) -> PeltHistory:
-        """The history from ``start`` on, with the cached costs that lie inside it.
+        """The history from ``start`` on, with no cached costs and no search.
 
-        The search state is not kept: its ends count from the old start.
+        The first search after a changepoint re-solves the remainder.
         """
-        rest = PeltHistory(self[start:])
-        rest.costs = {end - start: {tau - start: c for tau, c in row.items() if tau >= start}
-                      for end, row in self.costs.items() if end > start}
-        return rest
+        return PeltHistory(self[start:])
 
 
 @dataclass
@@ -214,15 +213,8 @@ class MonitorState:
     policy: Policy
     reference: ReferenceBatch
     loss_history: PeltHistory = field(default_factory=PeltHistory)
-    r_history: list[int] = field(default_factory=list)
     batches_seen: int = 0
-    last_retrain: int = 0
-
-    def record(self, retrain: bool) -> None:
-        """Log the current batch's decision; a retrain restarts the schedule."""
-        self.r_history.append(int(retrain))
-        if retrain:
-            self.last_retrain = self.batches_seen
+    last_retrain: int = 0  # the batch of the last retrain; only EveryKBatches uses it
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,6 @@ class MeanTestPolicy(Policy):
                 raise InsufficientSample("warm-up batch must be nonempty")
             state.batches_seen += 1
             ref.append(batch)
-            state.record(False)
             return MonitorDecision(retrain=False)
         if ref.n < 2:
             raise InsufficientSample("reference batch needs >= 2 losses before testing")
@@ -308,7 +299,6 @@ class MeanTestPolicy(Policy):
         test = welch_test_from_moments(ref.n, ref.mean, ref.variance(),
                                        batch.n, batch.mean, batch.var, self.alpha)
         state.batches_seen += 1
-        state.record(test.reject)
         if test.reject:
             ref = state.reference = ReferenceBatch(self.max_reference_len)
             if self.reseed_with_rejecting_batch:
@@ -353,7 +343,6 @@ class PeltPolicy(Policy):
                                    self.min_seg_len)
         if changepoints:
             state.loss_history = state.loss_history.after(changepoints[-1])
-        state.record(bool(changepoints))
         return MonitorDecision(retrain=bool(changepoints),
                                detected_changepoints=tuple(changepoints))
 
@@ -372,7 +361,8 @@ class EveryKBatches(Policy):
         """Retrain once k batches have passed since the last retrain."""
         state.batches_seen += 1
         retrain = state.batches_seen - state.last_retrain >= self.k
-        state.record(retrain)
+        if retrain:
+            state.last_retrain = state.batches_seen
         return MonitorDecision(retrain=retrain)
 
 
@@ -382,7 +372,6 @@ class NeverPolicy(Policy):
 
     def step(self, state: MonitorState, new_losses) -> MonitorDecision:
         state.batches_seen += 1
-        state.record(False)
         return MonitorDecision(retrain=False)
 
 
@@ -412,13 +401,14 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     subadditive (splitting a segment never increases the summed cost), which
     holds for the Gaussian cost used here.
 
-    ``cost`` is called only for segments whose cost is not cached yet: a
-    PeltHistory keeps its costs across calls (the caller keeps ``cost`` the
-    same for one history), any other sequence starts with an empty cache.
-    A PeltHistory also keeps the search itself: called again with the same
-    penalty and ``min_seg_len`` after appends, ``pelt`` runs only the new
-    ends, so a step costs O(live candidates). Any other call solves every
-    end from ``min_seg_len`` on, O(history x candidates).
+    A PeltHistory keeps the search: called again with the same penalty and
+    ``min_seg_len`` after appends, ``pelt`` runs only the new ends, so a
+    step costs O(live candidates), and stores none of their costs. Any other
+    call starts a new search that solves every end from ``min_seg_len`` on,
+    O(history x candidates); it calls ``cost`` only for segments whose cost
+    the history has not cached yet, and caches them (the caller keeps
+    ``cost`` the same for one history). Any other sequence starts with an
+    empty cache.
     """
     history = values if isinstance(values, PeltHistory) else PeltHistory(values)
     x = np.asarray(history, dtype=float)
@@ -431,9 +421,11 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
 
     penalty = float(penalty)
     search = history.search
+    costs = history.costs
     if search is None or search.penalty != penalty or search.min_seg_len != L:
         search = history.search = PeltSearch(penalty, L)
-    costs = history.costs
+    else:
+        costs = {}  # a resumed search never reads its new ends' costs again
     F, prev, candidates, remove_at = search.F, search.prev, search.candidates, search.remove_at
     # A dominated candidate tau stays usable until step s + L: the dominating
     # candidate s only becomes admissible once the segment after it can reach

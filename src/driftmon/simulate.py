@@ -93,12 +93,9 @@ def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int
     rejections = 0
     tests = 0
     for batch in batches:
-        warm = len(state.reference) > 0
         decision = observe(state, batch)
-        if warm:
-            tests += 1
-            if decision.retrain:
-                rejections += 1
+        tests += decision.test is not None
+        rejections += decision.retrain
     return rejections, tests
 
 

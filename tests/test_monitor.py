@@ -102,7 +102,6 @@ def test_mean_test_on_moments_matches_raw_batches():
     pre = new_state(MeanTestPolicy(alpha=0.2))
     for batch, moments in zip(batches, row_moments(np.array(batches))):
         assert observe(raw, batch) == observe(pre, moments)
-    assert raw.r_history == pre.r_history
     assert (raw.reference.n, raw.reference.mean, raw.reference.variance()) == \
         (pre.reference.n, pre.reference.mean, pre.reference.variance())
 
@@ -118,13 +117,11 @@ def test_warmup_and_accept_path():
     warm = observe(state, first)
     assert not warm.retrain and warm.test is None
     assert len(state.reference) == 60
-    assert state.r_history == [0]
 
     nxt = rng.normal(size=60)
     decision = observe(state, nxt)
     assert not decision.retrain and decision.test is not None
     assert len(state.reference) == 120
-    assert state.r_history == [0, 0]
     pooled = np.concatenate([first, nxt])
     assert state.reference.mean == pytest.approx(pooled.mean(), rel=1e-12)
 
@@ -136,7 +133,6 @@ def test_reject_resets_reference_and_next_batch_rewarms():
     observe(state, base)
     decision = observe(state, base + 1000.0)
     assert decision.retrain
-    assert state.r_history == [0, 1]
     assert len(state.reference) == 0
     follow = observe(state, base)  # the empty reference re-warms from this batch
     assert not follow.retrain and follow.test is None
@@ -263,7 +259,6 @@ def test_pelt_step_mechanics():
     assert any(retrains[15:20])  # shift at batch 16 detected within a few batches
     first_hit = retrains.index(True)
     assert len(state.loss_history) < first_hit + 1  # history restarted after the changepoint
-    assert state.r_history == [int(r) for r in retrains]
 
 
 def _segment_start(segment) -> int:
@@ -284,7 +279,7 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
     means = np.concatenate([level + noise * rng.normal(size=length)
                             for length, level in regimes])
     real_pelt = monitor.pelt
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int, int], int] = {}
     batches = 0
 
     def checked_pelt(values, penalty, min_seg_len=2, cost=monitor.gaussian_segment_cost):
@@ -292,7 +287,7 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
 
         def counting_cost(segment):
             start = origin + _segment_start(segment)
-            key = (start, start + segment.size)
+            key = (id(values), start, start + segment.size)
             seen[key] = seen.get(key, 0) + 1
             return cost(segment)
 
@@ -307,7 +302,7 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
         for value in means:
             batches += 1
             observe(state, np.array([value]))
-    # costs survive both the later steps and the rebase after a changepoint
+    # each history computes a cost once; a changepoint starts a new history
     assert all(count == 1 for count in seen.values())
     history = state.loss_history
     assert list(history) == means[len(means) - len(history):].tolist()
@@ -372,14 +367,30 @@ def test_pelt_with_another_penalty_or_min_seg_len_solves_afresh():
     assert history.after(10).search is None
 
 
-def test_pelt_history_after_keeps_only_costs_inside():
+def test_pelt_history_after_drops_costs_and_search():
     history = PeltHistory([1.0, 2.0, 4.0, 8.0, 16.0])
     pelt(history, 1.0)
+    assert history.costs and history.search is not None
     rest = history.after(2)
+    assert isinstance(rest, PeltHistory)
     assert list(rest) == [4.0, 8.0, 16.0]
-    assert rest.costs == {end - 2: {start - 2: c for start, c in row.items() if start >= 2}
-                          for end, row in history.costs.items() if end > 2}
-    assert rest.costs[3][0] == history.costs[5][2]
+    assert rest.costs == {}
+    assert rest.search is None
+
+
+def test_fixed_penalty_history_keeps_only_the_first_search_costs():
+    rng = np.random.default_rng(13)
+    min_seg_len = 5
+    state = new_state(PeltPolicy(penalty=60.0, min_seg_len=min_seg_len))
+    rows = []
+    for _ in range(300):
+        assert not observe(state, 4.0 * rng.chisquare(1, size=60)).retrain
+        rows.append(len(state.loss_history.costs))
+    # the first search ran at 2 * min_seg_len values; the resumed ones store no costs
+    first = rows[2 * min_seg_len - 1]
+    assert first > 0 and rows[2 * min_seg_len - 1:] == [first] * (301 - 2 * min_seg_len)
+    assert max(state.loss_history.costs) == 2 * min_seg_len
+    assert len(state.loss_history) == 300
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +405,10 @@ def test_every_k_schedule():
     state = new_state(EveryKBatches(k=3))
     flags = [observe(state, np.ones(4)).retrain for _ in range(9)]
     assert flags == [False, False, True] * 3
+    assert state.batches_seen == 9
 
 
 def test_never_schedule():
     state = new_state(NeverPolicy())
     flags = [observe(state, np.ones(4)).retrain for _ in range(10)]
     assert flags == [False] * 10
-    assert state.r_history == [0] * 10
-
-
-def test_r_history_tracks_decisions():
-    state = new_state(EveryKBatches(k=2))
-    decisions = [observe(state, np.ones(4)).retrain for _ in range(7)]
-    assert state.r_history == [int(d) for d in decisions]
-    assert len(state.r_history) == state.batches_seen

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_policy_comparison(out: Path, threads: int) -> list[dict]:
+def run_script(name: str, *args: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, str(ROOT / "scripts" / "policy_comparison.py"),
-                    "--seeds", "2", "--trees", "2", "--threads", str(threads),
-                    "--out", str(out)],
+    subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                    check=True, env=env, capture_output=True, text=True)
+
+
+def run_policy_comparison(out: Path, threads: int) -> list[dict]:
+    run_script("policy_comparison.py", "--seeds", "2", "--trees", "2",
+               "--threads", str(threads), "--out", str(out))
     with open(out, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
@@ -29,3 +33,18 @@ def test_policy_comparison_does_not_depend_on_thread_count(tmp_path):
 
     assert without_wall_time(serial) == without_wall_time(pooled)
     assert list(serial[0]) == ["seed", "policy", "smape", "retrains", "retrain_seconds"]
+
+
+def run_size_study_grid(out: Path, alpha: str) -> list[str]:
+    run_script("size_study_grid.py", "--reps", "2", "--lengths", "200", "--batches", "20",
+               "--alphas", alpha, "--threads", "1", "--out", str(out))
+    return out.read_text(encoding="utf-8").splitlines()
+
+
+def test_size_study_grid_stamps_the_grid_it_ran(tmp_path):
+    lines = run_size_study_grid(tmp_path / "grid.csv", "0.05")
+    assert re.fullmatch(r"# config_hash=[0-9a-f]{12} seed=0", lines[0])
+    assert lines[1] == "distribution,length,batch,alpha,rejection_freq"
+    assert len(lines[2:]) == 2  # one row per distribution
+    other = run_size_study_grid(tmp_path / "other.csv", "0.01")
+    assert other[0] != lines[0]
