@@ -17,7 +17,7 @@ import sys
 import time
 
 from driftmon.schema import document_hash, stamp_line
-from driftmon.simulate import DISTRIBUTIONS, NullStudyConfig, run_null_study
+from driftmon.simulate import DISTRIBUTIONS, NULL_STUDY_COLUMNS, NullStudyConfig, run_null_study
 
 
 def main(argv=None) -> int:
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# {stamp_line(document_hash(grid), args.seed)}\n")
         writer = csv.writer(handle)
-        writer.writerow(["distribution", "length", "batch", "alpha", "rejection_freq"])
+        writer.writerow(NULL_STUDY_COLUMNS)
         for dist in DISTRIBUTIONS:
             for length in args.lengths:
                 for batch in args.batches:

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .evaluate import (
     BatchRecord,
-    LossBatch,
     Report,
     RunLog,
     StreamReport,

@@ -19,7 +19,8 @@ from .errors import ConfigError, DriftmonError
 from .evaluate import build_report, read_runlog, write_report_csv, write_report_json, write_runlog
 from .pipeline import compare_policies, comparison_table, load_config, run
 from .schema import config_errors, document_hash, read_json, stamp_line
-from .simulate import DISTRIBUTIONS, NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study
+from .simulate import (DISTRIBUTIONS, NULL_STUDY_COLUMNS, NullStudyConfig, RegimeScenario,
+                       gen_regime_streams, run_null_study)
 from .streams import write_csv, write_table
 
 
@@ -75,7 +76,7 @@ def _cmd_null_study(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "null_study.csv")
-        write_table(path, ["distribution", "length", "batch", "alpha", "rejection_freq"],
+        write_table(path, NULL_STUDY_COLUMNS,
                     [(config.distribution, config.stream_length, config.batch_size,
                       config.alpha, freq)],
                     stamp=stamp_line(document_hash(config.__dict__), config.seed))

@@ -4,10 +4,11 @@ Two losses play distinct roles: squared errors feed the monitoring test
 batch by batch, while the bounded symmetric percentage error (sape) is the
 reporting metric, averaged into a per-stream SMAPE. Everything a report
 needs is read from the append-only RunLog, which records forecasts, actuals,
-monitor decisions and retrain timings for every evaluation batch; a record's
-losses are derived from its forecasts and actuals, not stored.
-``write_runlog`` and ``read_runlog`` carry a RunLog to three stamped CSV
-files and back; the round trip restores every value and the stamp exactly.
+monitor decisions and retrain timings for every evaluation batch. A record's
+losses derive from its forecasts and actuals, its retrain flag from its
+decision label, and its policy is the log's. ``write_runlog`` and
+``read_runlog`` carry a RunLog to three stamped CSV files and back; the
+round trip restores every value, the stamp and the policy exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import csv
 import json
 import math
 import os
-import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -25,31 +25,11 @@ import numpy as np
 
 from .errors import EmptyLog, ParseError, ShapeError
 from .monitor import RETRAIN_LABELS
-from .schema import stamp_line
+from .schema import parse_stamp, stamp_line
 from .streams import write_table
 
 
-@dataclass(frozen=True)
-class LossBatch:
-    """Per-stream forecast losses of one evaluation batch."""
-
-    losses: np.ndarray
-    batch_index: int
-    stream_id: str
-
-    def __post_init__(self):
-        losses = np.asarray(self.losses, dtype=float)
-        if losses.ndim != 1 or losses.size == 0:
-            raise ShapeError("losses must be a nonempty vector")
-        if not np.all(np.isfinite(losses)):
-            raise ValueError("losses must be finite")
-        if np.any(losses < 0.0):
-            raise ValueError("losses must be >= 0")
-        object.__setattr__(self, "losses", losses)
-
-
-def squared_loss_batch(actuals, forecasts, batch_index: int = 0,
-                       stream_id: str = "") -> LossBatch:
+def squared_loss_batch(actuals, forecasts) -> np.ndarray:
     """Elementwise squared errors; the batch mean is the monitored quantity."""
     actuals = np.asarray(actuals, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
@@ -59,8 +39,10 @@ def squared_loss_batch(actuals, forecasts, batch_index: int = 0,
         )
     if actuals.size < 1:
         raise ShapeError("need at least one observation")
-    return LossBatch(losses=(actuals - forecasts) ** 2,
-                     batch_index=batch_index, stream_id=stream_id)
+    losses = (actuals - forecasts) ** 2
+    if not np.all(np.isfinite(losses)):
+        raise ValueError("losses must be finite")
+    return losses
 
 
 def sape(actual: float, forecast: float) -> float:
@@ -99,13 +81,16 @@ class BatchRecord:
     batch_end: int         # tick at which the batch completed
     forecasts: np.ndarray
     actuals: np.ndarray
-    policy: str
     decision: str          # warmup | accept | reject | hold | retrain | final
-    retrain: bool
     p_value: float | None
     statistic: float | None
     model_token: str
     retrain_seconds: float = 0.0
+
+    @property
+    def retrain(self) -> bool:
+        """Whether the stream was refit after this batch: its decision label says so."""
+        return self.decision in RETRAIN_LABELS
 
     @property
     def losses(self) -> np.ndarray:
@@ -270,7 +255,6 @@ def write_report_json(report: Report, path: str) -> None:
 FORECAST_COLUMNS = ["stream_id", "batch_index", "q", "tick", "forecast", "actual", "loss"]
 EVENT_COLUMNS = ["stream_id", "batch_index", "policy", "decision", "p_value", "statistic"]
 TIMING_COLUMNS = ["stream_id", "batch_index", "retrain_seconds"]
-_STAMP = re.compile(r"# config_hash=(\S*) seed=(\d+)")  # "# " + RunLog.stamp
 
 
 def write_runlog(log: RunLog, outdir: str) -> None:
@@ -292,7 +276,7 @@ def write_runlog(log: RunLog, outdir: str) -> None:
     write_table(os.path.join(outdir, "forecasts.csv"), FORECAST_COLUMNS, forecast_rows(),
                 stamp=log.stamp)
     write_table(os.path.join(outdir, "events.csv"), EVENT_COLUMNS,
-                ((r.stream_id, r.batch_index, r.policy, r.decision, _fmt(r.p_value),
+                ((r.stream_id, r.batch_index, log.policy_name, r.decision, _fmt(r.p_value),
                   _fmt(r.statistic)) for r in log.records),
                 stamp=log.stamp)
     write_table(os.path.join(outdir, "timings.csv"), TIMING_COLUMNS,
@@ -306,7 +290,7 @@ def _open_table(stack: ExitStack, outdir: str, name: str, columns: list[str]):
     handle = stack.enter_context(open(os.path.join(outdir, name), newline="",
                                       encoding="utf-8"))
     stamp = handle.readline().rstrip("\r\n")
-    if not _STAMP.fullmatch(stamp):
+    if parse_stamp(stamp) is None:
         raise ParseError(1, f"{name}: expected a '# config_hash=... seed=...' stamp")
     if handle.readline().rstrip("\r\n").split(",") != columns:
         raise ParseError(2, f"{name}: expected header {','.join(columns)}")
@@ -319,8 +303,8 @@ def read_runlog(outdir: str) -> RunLog:
     forecasts.csv is read one record (one group of rows) at a time, in step
     with events.csv and timings.csv. Files that do not list the same
     records in the same order, or carry different stamps, raise ParseError
-    naming the file and line. The ``loss`` column is not read back: a
-    record derives its losses from the forecasts and actuals.
+    naming the file and line, as do events.csv rows naming two policies. The
+    ``loss`` column is not read back: losses derive from forecasts and actuals.
     """
     names = [("forecasts.csv", FORECAST_COLUMNS), ("events.csv", EVENT_COLUMNS)]
     if os.path.exists(os.path.join(outdir, "timings.csv")):
@@ -335,6 +319,7 @@ def read_runlog(outdir: str) -> RunLog:
         timing = next(timings, None)
 
         records = []
+        policy = None  # the one policy every events.csv row names
         line = 3  # forecasts.csv line of the current record's first row
         for key, group in groupby(forecasts, key=lambda row: row[:2]):
             rows = list(group)
@@ -344,6 +329,10 @@ def read_runlog(outdir: str) -> RunLog:
                 raise ParseError(line, f"forecasts.csv lists {key}, events.csv line "
                                        f"{events.line_num + 2} lists {listed}")
             try:
+                policy = event[2] if policy is None else policy
+                if event[2] != policy:
+                    raise ParseError(events.line_num + 2, f"events.csv names policy "
+                                                          f"{event[2]!r}, line 3 {policy!r}")
                 seconds = 0.0
                 if timing is not None and timing[:2] == key:
                     seconds = float(timing[2])
@@ -351,8 +340,7 @@ def read_runlog(outdir: str) -> RunLog:
                 values = np.array([row[4:6] for row in rows], dtype=float)
                 records.append(BatchRecord(
                     stream_id=key[0], batch_index=int(key[1]), batch_end=int(rows[-1][3]),
-                    forecasts=values[:, 0], actuals=values[:, 1], policy=event[2],
-                    decision=event[3], retrain=event[3] in RETRAIN_LABELS,
+                    forecasts=values[:, 0], actuals=values[:, 1], decision=event[3],
                     p_value=float(event[4]) if event[4] else None,
                     statistic=float(event[5]) if event[5] else None,
                     model_token="", retrain_seconds=seconds,
@@ -367,8 +355,8 @@ def read_runlog(outdir: str) -> RunLog:
         if timing is not None:
             raise ParseError(timings.line_num + 2,
                              "timings.csv lists a batch that forecasts.csv does not list there")
-    match = _STAMP.fullmatch(stamp)
+    config_hash, seed = parse_stamp(stamp)
     return RunLog(stream_ids=tuple(dict.fromkeys(r.stream_id for r in records)),
                   horizon=records[0].forecasts.size if records else 0,
-                  policy_name=records[0].policy if records else "", forecaster="",
-                  seed=int(match[2]), config_hash=match[1], records=records)
+                  policy_name=policy or "", forecaster="",
+                  seed=seed, config_hash=config_hash, records=records)

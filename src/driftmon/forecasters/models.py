@@ -93,7 +93,6 @@ class NaivePayload:
 @dataclass(frozen=True)
 class EnsemblePayload:
     nodes: FlatTree  # every tree of the ensemble, in order
-    seed: int
     base: float = 0.0  # boosting initialization; unused by the forest
 
     @property
@@ -173,7 +172,7 @@ def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
                                 min_leaf=params.min_node_size, columns=columns))
     return ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
                          trained_at=trained_at,
-                         payload=EnsemblePayload(nodes=FlatTree.concat(blocks), seed=seed))
+                         payload=EnsemblePayload(nodes=FlatTree.concat(blocks)))
 
 
 def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
@@ -208,8 +207,7 @@ def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
         trees.append(tree)
     return ForecastModel(kind=ModelKind.BOOSTING, feature_names=data.column_names,
                          trained_at=trained_at,
-                         payload=EnsemblePayload(nodes=FlatTree.concat(trees), seed=seed,
-                                                 base=base))
+                         payload=EnsemblePayload(nodes=FlatTree.concat(trees), base=base))
 
 
 def predict_matrix(model: ForecastModel, X: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The loop walks batch ends left to right. At each forecast origin the current
 models produce the next horizon of forecasts; one batch later those
-forecasts meet their actuals, the loss batch goes to the per-stream monitor,
-and a retrain decision refits that stream's model on the trailing window
-before the next forecasts are made. The final observed batch is scored for
-accuracy but carries no monitor decision, since no forecast would follow it.
+forecasts meet their actuals, their squared errors go to the per-stream
+monitor, and a retrain decision refits that stream's model on the trailing
+window before the next forecasts are made. A panel must be batched as the
+config says, so no loss batch reaches past its decision point. The final
+batch is scored for accuracy but carries no decision: no forecast follows it.
 
 Every run is a pure function of (config, seed): model seeds derive from
 (seed, stream, fit count), so logs reproduce bit-identically, wall-clock
@@ -228,6 +229,9 @@ _NO_DECISION = MonitorDecision(retrain=False)  # the final batch's: no forecast 
 def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
     """Execute the monitored forecasting loop and return the full log."""
     streams = stream_set if stream_set is not None else materialize(config)
+    if streams.slots_per_batch != config.slots_per_batch:
+        raise ConfigError("slots_per_batch", f"is {config.slots_per_batch} but the panel "
+                                             f"has {streams.slots_per_batch}")
     spec = config.feature_spec
     B, Q = config.slots_per_batch, config.horizon
     T = streams.n_ticks
@@ -273,17 +277,14 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
         actual_rows = streams.values[origin:origin + Q, :]  # ticks origin+1..origin+Q
         for i in range(n_streams):
             forecasts, actuals = predict_matrix(models[i], F), actual_rows[:, i]
-            loss = squared_loss_batch(actuals, forecasts, batch_index=idx,
-                                      stream_id=streams.stream_ids[i])
+            losses = squared_loss_batch(actuals, forecasts)
             made_by = tokens[i]
-            decision = _NO_DECISION if final else observe(states[i], loss.losses)
+            decision = _NO_DECISION if final else observe(states[i], losses)
             seconds = refit(i, ends[idx]) if decision.retrain else 0.0
             log.append(BatchRecord(
                 stream_id=streams.stream_ids[i], batch_index=idx,
                 batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
-                policy=config.policy.name,
                 decision="final" if final else config.policy.label(decision),
-                retrain=decision.retrain,
                 p_value=decision.test.p_value if decision.test else None,
                 statistic=decision.test.statistic if decision.test else None,
                 model_token=made_by, retrain_seconds=seconds,
@@ -298,7 +299,6 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
 @dataclass(frozen=True)
 class ComparisonRun:
     label: str
-    config: RunConfig
     log: RunLog
     report: Report
 
@@ -325,8 +325,8 @@ def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:
     runs = []
     for config in configs:
         log = run(config, stream_set=streams)
-        runs.append(ComparisonRun(label=run_label(config), config=config,
-                                  log=log, report=build_report(log)))
+        runs.append(ComparisonRun(label=run_label(config), log=log,
+                                  report=build_report(log)))
     return runs
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import Field, field, fields
 
@@ -103,6 +104,12 @@ def document_hash(doc: dict) -> str:
 def stamp_line(config_hash: str, seed: int) -> str:
     """The first line of a stamped output table, without its ``#``."""
     return f"config_hash={config_hash} seed={seed}"
+
+
+def parse_stamp(line: str) -> tuple[str, int] | None:
+    """(config_hash, seed) of a line ``"# " + stamp_line(...)``; None if it is no stamp."""
+    match = re.fullmatch(r"# config_hash=(\S*) seed=(\d+)", line)
+    return None if match is None else (match[1], int(match[2]))
 
 
 @contextmanager

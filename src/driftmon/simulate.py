@@ -29,6 +29,7 @@ from .schema import bounded, check_fields
 from .streams import MAX_MAGNITUDE, StreamSet
 
 DISTRIBUTIONS = ("gaussian", "chisquare5")
+NULL_STUDY_COLUMNS = ["distribution", "length", "batch", "alpha", "rejection_freq"]
 
 
 class RandomSource:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from driftmon.errors import EmptyLog, ParseError, ShapeError
 from driftmon.evaluate import (
     BatchRecord,
-    LossBatch,
     RunLog,
     build_report,
     detection_delays,
@@ -20,6 +19,7 @@ from driftmon.evaluate import (
     write_report_json,
     write_runlog,
 )
+from driftmon.monitor import POLICIES, RETRAIN_LABELS, EveryKBatches, new_state, observe
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 
@@ -30,21 +30,20 @@ def record(stream, batch, forecasts, actuals, retrain=False, decision=None, seco
     return BatchRecord(
         stream_id=stream, batch_index=batch, batch_end=batch * len(forecasts),
         forecasts=forecasts, actuals=actuals,
-        policy="mean_test", decision=decision or ("reject" if retrain else "accept"),
-        retrain=retrain, p_value=0.01 if retrain else 0.5,
+        decision=decision or ("reject" if retrain else "accept"),
+        p_value=0.01 if retrain else 0.5,
         statistic=2.0 if retrain else 0.1, model_token="m@0#0",
         retrain_seconds=seconds,
     )
 
 
 def test_squared_loss_examples():
-    batch = squared_loss_batch([1.0, 2.0], [0.0, 0.0])
-    assert batch.losses.tolist() == [1.0, 4.0]
-    assert squared_loss_batch([3.0, 3.0], [3.0, 3.0]).losses.tolist() == [0.0, 0.0]
+    assert squared_loss_batch([1.0, 2.0], [0.0, 0.0]).tolist() == [1.0, 4.0]
+    assert squared_loss_batch([3.0, 3.0], [3.0, 3.0]).tolist() == [0.0, 0.0]
     actuals = np.array([1.0, 2.0, 5.0])
     forecasts = np.array([0.5, 2.5, 4.0])
-    batch = squared_loss_batch(actuals, forecasts)
-    assert batch.losses.mean() == pytest.approx(np.mean((actuals - forecasts) ** 2))
+    losses = squared_loss_batch(actuals, forecasts)
+    assert losses.mean() == pytest.approx(np.mean((actuals - forecasts) ** 2))
 
 
 def test_squared_loss_shape_error():
@@ -55,10 +54,9 @@ def test_squared_loss_shape_error():
 
 
 def test_loss_batch_validation():
-    with pytest.raises(ValueError):
-        LossBatch(losses=np.array([-1.0]), batch_index=1, stream_id="a")
-    with pytest.raises(ValueError):
-        LossBatch(losses=np.array([np.inf]), batch_index=1, stream_id="a")
+    for bad in (np.inf, -np.inf, np.nan, 1e200):  # 1e200 is finite, its square is not
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            squared_loss_batch([1.0, 2.0], [0.5, bad])
 
 
 def test_sape_examples():
@@ -162,7 +160,7 @@ def test_record_losses_are_the_squared_loss_batch_values():
     rng = np.random.default_rng(2)
     forecasts, actuals = rng.normal(size=7), rng.normal(size=7)
     r = record("a", 1, forecasts, actuals)
-    assert np.array_equal(r.losses, squared_loss_batch(actuals, forecasts).losses)
+    assert np.array_equal(r.losses, squared_loss_batch(actuals, forecasts))
     assert not hasattr(r, "__dict__")
 
 
@@ -237,3 +235,40 @@ def test_read_runlog_rejects_files_that_disagree(tmp_path, corrupt):
     corrupt(out)
     with pytest.raises(ParseError, match="events.csv"):
         read_runlog(str(out))
+
+
+# Loss batches that take every policy through each of its decisions: the
+# mean test warms up, accepts, then rejects the shifted batch; every_2 holds
+# and retrains; PELT holds, then detects the shift once it has two segments.
+_BATCHES = [np.full(4, 1.0) + 0.01 * np.arange(4)] * 6 + [np.full(4, 50.0) + np.arange(4)] * 4
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_a_decision_label_is_a_retrain_label_exactly_when_the_decision_retrains(name):
+    policy = EveryKBatches(k=2) if name == "every_k" else POLICIES[name]()
+    state = new_state(policy)
+    labels = set()
+    for losses in _BATCHES:
+        decision = observe(state, losses)
+        label = policy.label(decision)
+        labels.add(label)
+        assert (label in RETRAIN_LABELS) == decision.retrain
+        assert record("a", 1, [0.0], [0.0], decision=label).retrain == decision.retrain
+    assert labels == {"mean_test": {"warmup", "accept", "reject"}, "every_k": {"hold", "retrain"},
+                      "pelt": {"hold", "retrain"}, "never": {"hold"}}[name]
+
+
+def test_read_runlog_rejects_events_that_name_two_policies(tmp_path):
+    log = RunLog(stream_ids=("a",), horizon=1, policy_name="mean_test",
+                 forecaster="naive", seed=0)
+    for batch in range(1, 4):
+        log.append(record("a", batch, [1.0], [1.5]))
+    write_runlog(log, str(tmp_path))
+    assert read_runlog(str(tmp_path)).policy_name == "mean_test"
+    path = tmp_path / "events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace(",mean_test,", ",pelt,")  # the third record
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match="events.csv names policy 'pelt'") as exc:
+        read_runlog(str(tmp_path))
+    assert exc.value.row == 5

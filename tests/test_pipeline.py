@@ -101,6 +101,17 @@ def test_lasso_run_on_a_panel_with_a_duplicated_stream(tmp_path):
     assert all(np.all(np.isfinite(r.forecasts)) for r in log.records)
 
 
+def test_a_panel_batched_unlike_its_config_is_rejected():
+    # batch ends 30 ticks apart, each scored on the 60 ticks after it: every
+    # decision would read losses from ticks past the next decision point
+    config = naive_config(NeverPolicy())
+    panel = materialize(config)
+    halved = StreamSet(values=panel.values, stream_ids=panel.stream_ids, slots_per_batch=30)
+    with pytest.raises(ConfigError) as exc:
+        run(config, stream_set=halved)
+    assert exc.value.field == "slots_per_batch"
+
+
 def test_breaks_in_report_match_retrain_records():
     scen = tiny_scenario(2, n_days=40, shifts=((20, 0, 5.0),), noise=1.0)
     config = RunConfig(source=scen, forecaster="naive", policy=MeanTestPolicy(0.05),
@@ -278,12 +289,12 @@ def test_runlog_round_trip_property(n_streams, policy, forecaster, horizon, slot
     with tempfile.TemporaryDirectory() as out:
         write_runlog(log, out)
         again = read_runlog(out)
-    assert again.stamp == log.stamp
+    assert (again.stamp, again.policy_name) == (log.stamp, log.policy_name)
     assert len(again.records) == len(log.records)
     for mine, read in zip(log.records, again.records):
         assert np.array_equal(read.forecasts, mine.forecasts)
         assert np.array_equal(read.actuals, mine.actuals)
-        fields_of = [(r.stream_id, r.batch_index, r.batch_end, r.policy, r.decision, r.retrain,
+        fields_of = [(r.stream_id, r.batch_index, r.batch_end, r.decision,
                       r.p_value, r.statistic, r.retrain_seconds) for r in (mine, read)]
         assert fields_of[0] == fields_of[1]
     assert report_to_dict(build_report(again)) == report_to_dict(build_report(log))

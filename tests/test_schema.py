@@ -13,12 +13,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftmon.cli import build_parser, main
 from driftmon.errors import ConfigError
 from driftmon.monitor import POLICIES
 from driftmon.pipeline import config_fields, config_from_dict
-from driftmon.schema import parse_field
+from driftmon.schema import parse_field, parse_stamp, stamp_line
 from driftmon.simulate import NullStudyConfig, RegimeScenario
 
 TINY_SCENARIO = RegimeScenario(n_streams=2, n_days=30, slots_per_day=60, noise_scale=1.0)
@@ -118,3 +120,11 @@ def test_readme_schema_table_shows_each_declared_range():
             assert f"`{f.metadata['range']}`" in range_cell[key], key
         else:
             assert range_cell[key] == "—", key
+
+
+@given(config_hash=st.text(alphabet="0123456789abcdef", max_size=16), seed=st.integers(0))
+def test_parse_stamp_reads_back_what_stamp_line_writes(config_hash, seed):
+    line = "# " + stamp_line(config_hash, seed)
+    assert parse_stamp(line) == (config_hash, seed)
+    assert parse_stamp(line.replace(" seed=", " ")) is None
+    assert parse_stamp(line[2:]) is None  # the "#" is part of the line

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from driftmon.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,3 +50,11 @@ def test_size_study_grid_stamps_the_grid_it_ran(tmp_path):
     assert len(lines[2:]) == 2  # one row per distribution
     other = run_size_study_grid(tmp_path / "other.csv", "0.01")
     assert other[0] != lines[0]
+
+
+def test_size_study_grid_header_is_the_null_study_header(tmp_path):
+    grid = run_size_study_grid(tmp_path / "grid.csv", "0.05")
+    assert main(["null-study", "--length", "200", "--batch", "20", "--reps", "2",
+                 "--out", str(tmp_path)]) == 0
+    study = (tmp_path / "null_study.csv").read_text(encoding="utf-8").splitlines()
+    assert grid[1] == study[1]
