@@ -4,10 +4,12 @@ Sweeps stream lengths x batch sizes x test sizes for both supported
 distributions and writes one CSV row per cell. The full grid at 1000
 replications takes tens of minutes on a small machine; trim with --reps or
 --lengths for a quick look. The first line stamps the grid with a hash of
-every argument except --out and --threads, and the seed.
+every argument except --out and --threads, and the seed. --threads is
+accepted, so that existing commands still run, and ignored: each study steps
+all its replications together in one process.
 
 Usage:
-    python scripts/size_study_grid.py --out results/null_study.csv --threads 2
+    python scripts/size_study_grid.py --out results/null_study.csv
 """
 
 import argparse
@@ -25,7 +27,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="null_study_grid.csv")
     parser.add_argument("--reps", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; each study runs in one process")
     parser.add_argument("--lengths", type=int, nargs="+",
                         default=[10_000, 20_000, 50_000, 100_000])
     parser.add_argument("--batches", type=int, nargs="+", default=[10, 50, 100])

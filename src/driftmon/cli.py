@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--alpha")
     p_null.add_argument("--reps", dest="n_replications")
     p_null.add_argument("--seed")
-    p_null.add_argument("--threads", type=int, default=1)
+    p_null.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: one process steps all replications")
     p_null.add_argument("--out", default=None, help="directory for the study CSV")
     p_null.set_defaults(func=_cmd_null_study)
 

@@ -66,10 +66,19 @@ class BatchMoments(NamedTuple):
     m2: float
 
 
-def _moments(x: np.ndarray):
-    """(mean, ddof=1 variance, m2) along the last axis, which has >= 2 entries."""
+def moment_arrays(x: np.ndarray):
+    """(mean, ddof=1 variance, m2) along the last axis, which has >= 2 entries.
+
+    These are ``x.mean(axis=-1)``, ``x.var(axis=-1, ddof=1)`` and
+    ``x.var(axis=-1) * n`` bit for bit: the same ufunc calls as ``np.mean``
+    and ``np.var``, with the mean and the sum of squared deviations computed
+    once for all three.
+    """
     n = x.shape[-1]
-    return x.mean(axis=-1), x.var(axis=-1, ddof=1), x.var(axis=-1) * n
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / n
+    dev = x - mean
+    ssd = np.add.reduce(dev * dev, axis=-1)
+    return mean[..., 0], ssd / (n - 1), ssd / n * n
 
 
 def batch_moments(losses) -> BatchMoments:
@@ -81,7 +90,7 @@ def batch_moments(losses) -> BatchMoments:
     if n < 2:
         mean = float(x.mean()) if n else math.nan
         return BatchMoments(x, n, mean, math.nan, 0.0)
-    mean, var, m2 = _moments(x)
+    mean, var, m2 = moment_arrays(x)
     return BatchMoments(x, n, float(mean), float(var), float(m2))
 
 
@@ -96,8 +105,19 @@ def row_moments(block) -> Iterator[BatchMoments]:
     if block.ndim != 2 or block.shape[1] < 2:
         raise InsufficientSample(
             f"need a 2-D block with >= 2 losses per row, got shape {block.shape}")
-    means, variances, m2s = (map(float, a) for a in _moments(block))
+    means, variances, m2s = (map(float, a) for a in moment_arrays(block))
     return map(BatchMoments, block, repeat(block.shape[1]), means, variances, m2s)
+
+
+def merged_moments(n, mean, m2, b_n, b_mean, b_m2):
+    """(n, mean, m2) of a sample merged with a batch, from both their moments.
+
+    Chan et al.'s pairwise update. It takes Python numbers or numpy arrays
+    alike, and elementwise it rounds the same either way.
+    """
+    total = n + b_n
+    delta = b_mean - mean
+    return total, mean + delta * b_n / total, m2 + (b_m2 + delta * delta * n * b_n / total)
 
 
 class ReferenceBatch:
@@ -140,11 +160,8 @@ class ReferenceBatch:
         b_n = batch.n
         if b_n == 0:
             return
-        total = self.n + b_n
-        delta = batch.mean - self.mean
-        self.mean += delta * b_n / total
-        self._m2 += batch.m2 + delta * delta * self.n * b_n / total
-        self.n = total
+        self.n, self.mean, self._m2 = merged_moments(self.n, self.mean, self._m2,
+                                                     b_n, batch.mean, batch.m2)
         if self._chunks is not None:
             self._chunks.append(batch.values)
             if self.n > self.max_len:

@@ -312,6 +312,8 @@ def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:
 
     Configs must agree on the data source and everything that shapes it;
     only the forecaster, hyperparameters and updating policy may differ.
+    Runs are keyed by ``run_label``, which names the forecaster and the
+    policy alone, so two different configs may not share a label.
     """
     if not configs:
         raise ConfigError("configs", "need at least one config")
@@ -321,6 +323,12 @@ def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:
                     "horizon", "seed"):
             if getattr(other, fld) != getattr(first, fld):
                 raise ConfigError(fld, "must match across compared configs")
+    by_label: dict[str, RunConfig] = {}
+    for config in configs:
+        label = run_label(config)
+        if by_label.setdefault(label, config) != config:
+            raise ConfigError("configs", f"two different configs share the run label {label!r}, "
+                                         "which names only the forecaster and the policy")
     streams = materialize(first)
     runs = []
     for config in configs:

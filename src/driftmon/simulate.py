@@ -6,30 +6,37 @@ establishes the reference, each later batch is tested, acceptances extend
 the reference, and a rejection resets it so the next batch re-warms. The
 returned rejection frequency is total rejections over total tests across
 replications, each replication seeded from (seed, replication index) so
-results do not depend on execution order or on how replications are split
-across worker processes. A replication computes the
-moments of all its batches in one vectorized call and then steps the
-monitor batch by batch on them; the frequencies are those of stepping on
-the raw batches.
+results do not depend on execution order. One process steps all
+replications together: each round tests every replication's next WINDOW
+batches in one array Welch test, against the references the monitor would
+hold if the window's earlier tests accepted, and keeps the tests up to each
+replication's first rejection. Counts and p-values are those of stepping
+``observe`` on the raw batches, bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .monitor import MeanTestPolicy, new_state, observe, row_moments
+# observe is unused here; bench/tracing.py wraps simulate.observe by name
+from .monitor import merged_moments, moment_arrays, observe  # noqa: F401
 from .schema import bounded, check_fields
+from .stats import welch_p_values
 from .streams import MAX_MAGNITUDE, StreamSet
 
 DISTRIBUTIONS = ("gaussian", "chisquare5")
 NULL_STUDY_COLUMNS = ["distribution", "length", "batch", "alpha", "rejection_freq"]
+# Upcoming batches a null-study round tests per replication: wider windows
+# waste more tests after a rejection, narrower ones pay more numpy calls per test.
+WINDOW = 16
+# Values a replication draws at a time, at least a window's batches' worth.
+DRAW_VALUES = 4096
+# Replications stepped together at most; a larger study steps them in groups,
+# so its memory does not grow with the replication count.
+REPLICATION_GROUP = 1000
 
 
 class RandomSource:
@@ -81,44 +88,109 @@ class NullStudyConfig:
             raise ConfigError("stream_length", "must be >= 2 * batch_size")
 
 
-def _null_study_replication(config: NullStudyConfig, rep: int) -> tuple[int, int]:
-    """(rejections, tests) for one replication."""
-    source = RandomSource((config.seed, rep))
-    n_batches = config.stream_length // config.batch_size
-    draws = source.draw(config.distribution, n_batches * config.batch_size)
-    batches = row_moments(draws.reshape(n_batches, config.batch_size))
-    state = new_state(MeanTestPolicy(
-        alpha=config.alpha,
-        reseed_with_rejecting_batch=config.reseed_with_rejecting_batch,
-    ))
-    rejections = 0
-    tests = 0
-    for batch in batches:
-        decision = observe(state, batch)
-        tests += decision.test is not None
-        rejections += decision.retrain
+def replication_counts(config: NullStudyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rejections, tests) of each replication, all replications stepped together.
+
+    A round tests each replication's next WINDOW batches against speculative
+    references: the reference each test would see if every earlier test of
+    the window accepted. The first rejection ends the replication's window
+    and the tests after it are dropped, so the counts are those of stepping
+    ``observe`` batch by batch. The references are ``ReferenceBatch``'s
+    (both merge with ``merged_moments``) and the p-values are
+    ``welch_test_from_moments``'s, bit for bit. A replication's stream is
+    drawn a chunk of whole batches at a time, and only the moments of
+    batches drawn but not yet stepped are kept, so memory does not grow
+    with the stream length.
+    """
+    total = config.n_replications
+    groups = [_group_counts(config, range(first, min(first + REPLICATION_GROUP, total)))
+              for first in range(0, total, REPLICATION_GROUP)]
+    return tuple(np.concatenate(counts) for counts in zip(*groups))
+
+
+def _group_counts(config: NullStudyConfig, replications: range) -> tuple[np.ndarray, np.ndarray]:
+    """``replication_counts`` of the given replications."""
+    reps, size = len(replications), config.batch_size
+    n_batches = config.stream_length // size
+    chunk = min(n_batches, max(WINDOW + 1, DRAW_VALUES // size))
+    sources = [RandomSource((config.seed, rep)) for rep in replications]
+    # moments (mean, var, m2) of batches start .. drawn - 1 of each replication
+    moments = np.zeros((3, reps, chunk + WINDOW))
+    start = np.zeros(reps, dtype=np.int64)
+    drawn = np.zeros(reps, dtype=np.int64)
+    pos = np.zeros(reps, dtype=np.int64)  # each replication's next batch
+    ref_n = np.zeros(reps, dtype=np.int64)
+    ref_mean = np.zeros(reps)
+    ref_m2 = np.zeros(reps)
+    rejections = np.zeros(reps, dtype=np.int64)
+    tests = np.zeros(reps, dtype=np.int64)
+    steps = np.arange(WINDOW + 1)
+    while (active := np.flatnonzero(pos < n_batches)).size:
+        # keep a warm-up batch and a whole window ahead of every replication
+        for rep in active[(pos[active] + WINDOW >= drawn[active]) & (drawn[active] < n_batches)]:
+            ahead, offset = drawn[rep] - pos[rep], pos[rep] - start[rep]
+            moments[:, rep, :ahead] = moments[:, rep, offset:offset + ahead]
+            new = min(chunk, n_batches - drawn[rep])
+            block = sources[rep].draw(config.distribution, new * size).reshape(new, size)
+            moments[:, rep, ahead:ahead + new] = moment_arrays(block)
+            start[rep], drawn[rep] = pos[rep], drawn[rep] + new
+        # an empty reference takes the next batch untested
+        empty = active[ref_n[active] == 0]
+        if empty.size:
+            mean, _, m2 = moments[:, empty, pos[empty] - start[empty]]
+            ref_n[empty], ref_mean[empty], ref_m2[empty] = merged_moments(
+                ref_n[empty], ref_mean[empty], ref_m2[empty], size, mean, m2)
+            pos[empty] += 1
+            active = active[pos[active] < n_batches]
+        # the window's batches; past the stream's end, its last batch stands in
+        cols = np.minimum((pos - start)[active, None] + steps[:WINDOW],
+                          (drawn - start - 1)[active, None])
+        means, variances, m2s = moments[:, active[:, None], cols]
+        # the speculative reference before each batch of the window, and after the last
+        ns = ref_n[active, None] + size * steps
+        ref_means = np.empty(ns.shape)
+        ref_m2s = np.empty(ns.shape)
+        n, mean, m2 = ref_n[active], ref_mean[active], ref_m2[active]
+        ref_means[:, 0], ref_m2s[:, 0] = mean, m2
+        for k in range(WINDOW):
+            n, mean, m2 = merged_moments(n, mean, m2, size, means[:, k], m2s[:, k])
+            ref_means[:, k + 1], ref_m2s[:, k + 1] = mean, m2
+        length = np.minimum(WINDOW, n_batches - pos[active])
+        tested = steps[:WINDOW] < length[:, None]
+        n1 = ns[:, :WINDOW][tested]
+        reject = np.zeros(tested.shape, dtype=bool)
+        reject[tested] = welch_p_values(n1, ref_means[:, :WINDOW][tested],
+                                        ref_m2s[:, :WINDOW][tested] / (n1 - 1), size,
+                                        means[tested], variances[tested]) < config.alpha
+        hit = reject.any(axis=1)
+        used = np.where(hit, reject.argmax(axis=1) + 1, length)
+        rows = np.arange(active.size)
+        ref_n[active], ref_mean[active], ref_m2[active] = (
+            ns[rows, used], ref_means[rows, used], ref_m2s[rows, used])
+        rejections[active] += hit
+        tests[active] += used
+        pos[active] += used
+        # a rejection empties the reference, which the rejecting batch may seed
+        reset = active[hit]
+        ref_n[reset], ref_mean[reset], ref_m2[reset] = 0, 0.0, 0.0
+        if config.reseed_with_rejecting_batch and reset.size:
+            last = used[hit] - 1
+            ref_n[reset], ref_mean[reset], ref_m2[reset] = merged_moments(
+                0, 0.0, 0.0, size, means[rows[hit], last], m2s[rows[hit], last])
     return rejections, tests
 
 
 def run_null_study(config: NullStudyConfig, threads: int = 1) -> float:
     """Empirical rejection frequency of the monitor under a stable stream.
 
-    ``threads`` caps the worker processes, which never outnumber the
-    replications or the CPUs: a pool starts all its workers up front.
+    ``threads`` is accepted, so that existing commands still run, and
+    ignored: one process steps all replications together, which took less
+    time than a process pool did.
     """
     if threads < 1:
         raise ConfigError("threads", f"{threads!r} is outside [1, inf)")
-    replicate = partial(_null_study_replication, config)
-    reps = range(config.n_replications)
-    workers = min(threads, len(reps), os.cpu_count() or 1)
-    if workers == 1:
-        results = list(map(replicate, reps))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replicate, reps,
-                                    chunksize=math.ceil(len(reps) / (4 * workers))))
-    rejections, tests = map(sum, zip(*results))
-    return rejections / tests
+    rejections, tests = replication_counts(config)
+    return int(rejections.sum()) / int(tests.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ p-value is pinned to 0 or 1. Both thresholds are relative to the samples'
 magnitude, sqrt(mean1² + mean2² + var1 + var2), so rescaling both samples by
 a power of two leaves the decision unchanged. Moments far from 1 are first
 divided by a power of two, which is exact and leaves the statistic as it
-is, so that no square in the test under- or overflows.
+is, so that no square in the test under- or overflows. ``welch_p_values``
+runs many such tests at once; each p-value equals the scalar test's bit
+for bit.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
@@ -61,40 +63,50 @@ class TestResult:
 # Regularized incomplete beta / Student-t tail
 # ---------------------------------------------------------------------------
 
+_CF_MAX_ITER = 500
+_CF_EPS = 1e-16
+_CF_FPMIN = 1e-300
+# Lentz iterations whose coefficients an array continued fraction computes
+# at once, and the elements left at which it finishes each in the scalar loop.
+_CF_BLOCK = 8
+_CF_SCALAR_TAIL = 16
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz iteration."""
-    max_iter = 500
-    eps = 1e-16
-    fpmin = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    if abs(d) < _CF_FPMIN:
+        d = _CF_FPMIN
     d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
+    return _lentz_iterations(a, b, x, 1, 1.0, d, d)
+
+
+def _lentz_iterations(a: float, b: float, x: float, first: int,
+                      c: float, d: float, h: float) -> float:
+    """The Lentz iterations ``first`` .. 500, from the state (c, d, h) before ``first``."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    for m in range(first, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
+        if abs(d) < _CF_FPMIN:
+            d = _CF_FPMIN
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
+        if abs(c) < _CF_FPMIN:
+            c = _CF_FPMIN
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
+        if abs(d) < _CF_FPMIN:
+            d = _CF_FPMIN
         c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
+        if abs(c) < _CF_FPMIN:
+            c = _CF_FPMIN
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
@@ -169,6 +181,149 @@ def welch_test_from_moments(n1: int, mean1: float, var1: float,
     dof = (se1 + se2) ** 2 / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
     p = student_t_two_sided_p(t, dof)
     return TestResult(statistic=t, dof=dof, p_value=p, reject=p < alpha)
+
+
+def welch_p_values(n1, mean1, var1, n2, mean2, var2) -> np.ndarray:
+    """Two-sided Welch p-values of many tests at once, from their moments.
+
+    Element i equals ``welch_test_from_moments(n1[i], mean1[i], var1[i], n2[i],
+    mean2[i], var2[i], alpha).p_value`` bit for bit, and that test rejects
+    exactly when the p-value is below ``alpha``. Arguments broadcast against
+    each other. Every step is the scalar test's arithmetic in its order:
+    numpy's +, -, *, / and sqrt round as Python's do, frexp and ldexp are
+    exact, and each element leaves the continued fraction at its own
+    iteration. What numpy would compute differently goes through Python
+    element by element: the transcendentals (``np.log``, ``np.log1p`` and
+    ``np.exp`` differ from ``math`` on some inputs) and the square in the
+    Welch dof (Python's ``x ** 2`` is libm ``pow``, numpy's is ``x * x``).
+    """
+    n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
+    n1, n2 = n1.ravel(), n2.ravel()
+    if n1.size and min(n1.min(), n2.min()) < 2:
+        raise InsufficientSample("need >= 2 observations per sample")
+    # copies: the rescaling below writes into them
+    mean1, var1, mean2, var2 = (v.astype(float).ravel() for v in (mean1, var1, mean2, var2))
+    with np.errstate(over="ignore"):  # Python's squares overflow to inf silently too
+        size = mean1 * mean1 + mean2 * mean2 + var1 + var2
+    far = ~((1e-100 < size) & (size < 1e100))
+    if far.any():
+        # keep the squares here and in the Welch dof from under- or overflowing
+        m1, m2, v1, v2 = mean1[far], mean2[far], var1[far], var2[far]
+        _, exp = np.frexp(np.maximum(np.maximum(np.abs(m1), np.abs(m2)),
+                                     np.sqrt(np.maximum(v1, v2))))
+        m1, m2 = np.ldexp(m1, -exp), np.ldexp(m2, -exp)
+        v1, v2 = np.ldexp(v1, -2 * exp), np.ldexp(v2, -2 * exp)
+        mean1[far], mean2[far], var1[far], var2[far] = m1, m2, v1, v2
+        size[far] = m1 * m1 + m2 * m2 + v1 + v2
+    diff = mean1 - mean2
+    p = np.empty(size.shape)
+    degenerate = (var1 <= DEGENERATE_VAR * size) & (var2 <= DEGENERATE_VAR * size)
+    gap = diff[degenerate]
+    p[degenerate] = np.where(gap * gap > DEGENERATE_MEAN_GAP ** 2 * size[degenerate], 0.0, 1.0)
+    live = ~degenerate
+    n1, n2, diff = n1[live], n2[live], diff[live]
+    se1 = var1[live] / n1
+    se2 = var2[live] / n2
+    se_sum = se1 + se2
+    t = diff / np.sqrt(se_sum)
+    dof = _each(_square, se_sum) / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
+    p[live] = _student_t_two_sided_ps(t, dof)
+    return p
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each element of ``x``, as Python floats."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _square(v: float) -> float:
+    return v ** 2
+
+
+def _student_t_two_sided_ps(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
+    """``student_t_two_sided_p`` of each (t, dof) pair, bit for bit; every dof > 0."""
+    p = np.where(t == 0.0, 1.0, 0.0)  # an infinite t leaves 0
+    tail = (t != 0.0) & ~np.isinf(t)
+    t, dof = t[tail], dof[tail]
+    x = dof / (dof + t * t)
+    p[tail] = np.minimum(np.maximum(_regularized_incomplete_betas(0.5 * dof, 0.5, x), 0.0), 1.0)
+    return p
+
+
+def _regularized_incomplete_betas(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
+    """``regularized_incomplete_beta(a[i], b, x[i])`` for each i, bit for bit; every a > 0."""
+    out = np.where(x <= 0.0, 0.0, 1.0)  # x >= 1 leaves 1
+    inner = (0.0 < x) & (x < 1.0)
+    a, x = a[inner], x[inner]
+    ln_front = (_each(math.lgamma, a + b) - _each(math.lgamma, a) - math.lgamma(b)
+                + a * _each(math.log, x) + b * _each(math.log1p, -x))
+    front = _each(math.exp, ln_front)
+    # the symmetric form where the continued fraction converges fast
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    cf = _beta_continued_fractions(np.where(lower, a, b), np.where(lower, b, a),
+                                   np.where(lower, x, 1.0 - x))
+    out[inner] = np.where(lower, front * cf / a, 1.0 - front * cf / b)
+    return out
+
+
+def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_beta_continued_fraction`` of each (a, b, x), bit for bit.
+
+    The iterations run in blocks of _CF_BLOCK, whose coefficients are
+    computed in one go; an element's result is its h at the iteration where
+    the scalar loop returns. After each block the arrays shrink to the
+    elements still iterating, and once few are left, each finishes in the
+    scalar loop from its state.
+    """
+    out = np.empty(x.shape)
+    index = np.arange(x.size)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones(x.shape)
+    d = 1.0 - qab * x / qap
+    d = 1.0 / np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
+    h = d
+    for first in range(1, _CF_MAX_ITER + 1, _CF_BLOCK):
+        if index.size <= _CF_SCALAR_TAIL:
+            for i, *state in zip(*(v.tolist() for v in (index, a, b, x)), [first] * index.size,
+                                 *(v.tolist() for v in (c, d, h))):
+                out[i] = _lentz_iterations(*state)
+            return out
+        m = np.arange(first, min(first + _CF_BLOCK, _CF_MAX_ITER + 1))[:, None]
+        m2 = 2 * m
+        am2 = a + m2
+        odd = m * (b - m) * x / ((qam + m2) * am2)
+        even = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
+        hs = np.empty(odd.shape)
+        deltas = np.empty(odd.shape)
+        dc = np.stack([d, c])  # row 0: d before its reciprocal; row 1: c
+        for k, aa in enumerate(odd):
+            d = _lentz_half_step(aa, dc, d)
+            h = h * (d * dc[1])
+            d = _lentz_half_step(even[k], dc, d)
+            h = np.multiply(h, np.multiply(d, dc[1], out=deltas[k]), out=hs[k])
+        c = dc[1]
+        converged = np.abs(deltas - 1.0) < _CF_EPS
+        done = converged.any(axis=0)
+        if done.any():
+            cols = np.flatnonzero(done)
+            out[index[cols]] = hs[converged.argmax(axis=0)[cols], cols]
+            going = ~done
+            index, a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (index, a, b, x, qab, qap, qam, c, d, h))
+    raise ArithmeticError(f"incomplete beta did not converge for a={a[0]}, b={b[0]}, x={x[0]}")
+
+
+def _lentz_half_step(aa: np.ndarray, dc: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One coefficient's update of d and of c = ``dc[1]``, as in ``_lentz_iterations``.
+
+    Updates ``dc[1]`` in place and returns the new d.
+    """
+    np.multiply(aa, d, out=dc[0])
+    np.divide(aa, dc[1], out=dc[1])
+    np.add(dc, 1.0, out=dc)
+    if np.abs(dc).min() < _CF_FPMIN:
+        dc[np.abs(dc) < _CF_FPMIN] = _CF_FPMIN
+    return 1.0 / dc[0]
 
 
 def mean_equality_test(a, b, alpha: float) -> TestResult:

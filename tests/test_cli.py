@@ -140,6 +140,18 @@ def test_compare_cli(tmp_path, capsys):
     assert "naive/never" in stdout
 
 
+def test_compare_configs_sharing_a_run_label_exit_2(tmp_path, capsys):
+    cfg_a = write_config(tmp_path, name="a.json", policy="never", naive_lag=60)
+    cfg_b = write_config(tmp_path, name="b.json", policy="never", naive_lag=420)
+    out_dir = tmp_path / "cmp"
+    assert main(["compare", "--configs", cfg_a, cfg_b, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'configs'")
+    assert "'naive/never'" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_rerun_run_outputs_byte_identical_except_timings(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

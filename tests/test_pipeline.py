@@ -187,6 +187,16 @@ def test_compare_policies_rejects_mismatched_data():
         compare_policies([a, b])
 
 
+def test_compare_policies_rejects_different_configs_with_one_run_label():
+    lag60 = naive_config(NeverPolicy(), naive_lag=60)
+    lag420 = naive_config(NeverPolicy(), naive_lag=420)
+    assert run_label(lag60) == run_label(lag420)
+    with pytest.raises(ConfigError) as exc:
+        compare_policies([lag60, lag420])
+    assert exc.value.field == "configs"
+    assert "'naive/never'" in str(exc.value)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         naive_config(NeverPolicy(), horizon=120)  # horizon > batch

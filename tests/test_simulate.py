@@ -1,5 +1,4 @@
-import math
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +7,14 @@ from driftmon import simulate
 from driftmon.errors import ConfigError
 from driftmon.monitor import MeanTestPolicy, new_state, observe
 from driftmon.simulate import (
+    DISTRIBUTIONS,
+    DRAW_VALUES,
+    WINDOW,
     NullStudyConfig,
     RandomSource,
     RegimeScenario,
-    _null_study_replication,
     gen_regime_streams,
+    replication_counts,
     run_null_study,
 )
 
@@ -54,40 +56,6 @@ def test_null_study_deterministic_and_thread_invariant():
     assert serial == again == threaded
 
 
-@pytest.mark.parametrize("threads, cpus, reps, workers", [
-    (5000, 4, 8, 4),     # capped at the CPUs
-    (5000, 64, 3, 3),    # capped at the replications
-    (2, 4, 8, 2),        # as asked
-    (5000, 1, 8, None),  # one CPU: no pool
-    (5000, None, 8, None),
-])
-def test_null_study_worker_count_is_capped(monkeypatch, threads, cpus, reps, workers):
-    started = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size and maps in process."""
-
-        def __init__(self, max_workers):
-            self.size = max_workers
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            assert chunksize == math.ceil(len(items) / (4 * self.size))
-            return map(fn, items)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    config = NullStudyConfig(**{**TINY, "n_replications": reps})
-    assert run_null_study(config, threads=threads) == run_null_study(config)
-    assert started == ([] if workers is None else [workers])
-
-
 def test_null_study_rejects_fewer_than_one_thread():
     with pytest.raises(ConfigError) as exc:
         run_null_study(NullStudyConfig(**TINY), threads=0)
@@ -95,10 +63,10 @@ def test_null_study_rejects_fewer_than_one_thread():
 
 
 def test_null_study_monotone_in_alpha_per_replication():
+    r05, _ = replication_counts(NullStudyConfig(alpha=0.05, **{**TINY, "n_replications": 12}))
+    r01, _ = replication_counts(NullStudyConfig(alpha=0.01, **{**TINY, "n_replications": 12}))
     for rep in range(12):
-        r05, _ = _null_study_replication(NullStudyConfig(alpha=0.05, **TINY), rep)
-        r01, _ = _null_study_replication(NullStudyConfig(alpha=0.01, **TINY), rep)
-        assert r01 <= r05
+        assert r01[rep] <= r05[rep]
 
 
 def raw_batch_replication(config, rep):
@@ -124,8 +92,61 @@ def test_replication_on_row_moments_matches_raw_batch_loop(distribution, batch_s
     config = NullStudyConfig(distribution=distribution, stream_length=40 * batch_size,
                              batch_size=batch_size, alpha=0.1, n_replications=4, seed=3,
                              reseed_with_rejecting_batch=reseed)
+    rejections, tests = replication_counts(config)
     for rep in range(config.n_replications):
-        assert _null_study_replication(config, rep) == raw_batch_replication(config, rep)
+        assert (rejections[rep], tests[rep]) == raw_batch_replication(config, rep)
+
+
+# a batch size whose draw chunk holds 20 batches, so windows cross chunk boundaries
+CHUNKED_BATCH = DRAW_VALUES // 20
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("reseed", [False, True])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 1.0])
+def test_windowed_counts_equal_stepping_the_monitor(distribution, reseed, alpha):
+    # fewer batches than a window, a window's worth and one either side, and
+    # counts that are not multiples of the window; the stream length leaves
+    # a partial batch over
+    for n_batches in (2, 5, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5, 70):
+        config = NullStudyConfig(distribution=distribution,
+                                 stream_length=n_batches * CHUNKED_BATCH + 7,
+                                 batch_size=CHUNKED_BATCH, alpha=alpha, n_replications=3,
+                                 seed=n_batches, reseed_with_rejecting_batch=reseed)
+        rejections, tests = replication_counts(config)
+        for rep in range(config.n_replications):
+            assert (rejections[rep], tests[rep]) == raw_batch_replication(config, rep)
+
+
+def test_replications_stepped_in_groups_keep_their_counts(monkeypatch):
+    config = NullStudyConfig(**TINY)
+    together = replication_counts(config)
+    monkeypatch.setattr(simulate, "REPLICATION_GROUP", 3)
+    grouped = replication_counts(config)
+    for whole, parts in zip(together, grouped):
+        assert parts.tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_a_stream_drawn_in_pieces_equals_one_whole_draw(distribution):
+    whole = RandomSource(7).draw(distribution, 1_000)
+    source = RandomSource(7)
+    pieces = np.concatenate([source.draw(distribution, n) for n in (3, 97, 400, 500)])
+    assert np.array_equal(pieces, whole)
+
+
+def test_null_study_memory_does_not_grow_with_the_stream():
+    def peak(stream_length):
+        config = NullStudyConfig(stream_length=stream_length, batch_size=10, n_replications=4,
+                                 seed=5)
+        tracemalloc.start()
+        try:
+            run_null_study(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) <= 1.5 * peak(20_000)
 
 
 def test_null_study_config_validation():

@@ -11,12 +11,15 @@ from scipy import stats as scipy_stats
 from driftmon.errors import InsufficientSample
 from driftmon.stats import (
     TestResult,
+    _beta_continued_fraction,
+    _beta_continued_fractions,
     bic,
     gaussian_segment_cost,
     mean_equality_test,
     regularized_incomplete_beta,
     student_t_cdf,
     student_t_two_sided_p,
+    welch_p_values,
     welch_test_from_moments,
 )
 
@@ -80,11 +83,82 @@ def test_tiny_samples_do_not_underflow_the_welch_test():
         assert mean_equality_test(c * a, c * b, alpha=0.05) == base
 
 
+@st.composite
+def moment_sets(draw):
+    """(n1, mean1, var1, n2, mean2, var2) over the test's branches.
+
+    Scales reach sizes outside (1e-100, 1e100), squares that overflow and
+    variances that underflow; equal means give t == 0, means one part in
+    1e13 apart give an x that rounds to 1, and zero or tiny variances the
+    degenerate branch.
+    """
+    scale = draw(st.one_of(st.just(1.0), st.sampled_from(
+        [2.0 ** -600, 2.0 ** -340, 1e-60, 1e60, 2.0 ** 340, 2.0 ** 506])))
+    unit = st.floats(-1e3, 1e3, allow_subnormal=False)
+    spread = st.one_of(st.just(0.0), st.floats(0.0, 1e-13), st.floats(0.0, 1e3))
+    mean1 = draw(unit)
+    mean2 = draw(st.one_of(st.just(mean1), st.just(mean1 * (1.0 + 1e-13) + 1e-13), unit))
+    return (draw(st.integers(2, 10 ** 5)), scale * mean1, scale * scale * draw(spread),
+            draw(st.integers(2, 10 ** 5)), scale * mean2, scale * scale * draw(spread))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=st.lists(moment_sets(), min_size=1, max_size=40))
+def test_array_welch_p_values_equal_the_scalar_test(sets):
+    p = welch_p_values(*map(np.array, zip(*sets)))
+    for moments, p_value in zip(sets, p.tolist()):
+        for alpha in (0.01, 0.05, 1.0):
+            scalar = welch_test_from_moments(*moments, alpha)
+            assert p_value == scalar.p_value
+            assert (p_value < alpha) == scalar.reject
+
+
+def test_array_welch_p_values_equal_the_scalar_test_on_random_moments():
+    # a reference against a batch, as the monitor tests them; numpy's log,
+    # log1p and exp differ from math's on about 1% of these
+    rng = np.random.default_rng(17)
+    k = 3_000
+    n1, n2 = rng.integers(2, 3_000, k), rng.integers(2, 200, k)
+    mean1 = rng.normal(0.0, 1.0, k)
+    mean2 = mean1 + rng.normal(0.0, 0.3, k)
+    var1, var2 = rng.exponential(1.0, k), rng.exponential(1.0, k)
+    p = welch_p_values(n1, mean1, var1, n2, mean2, var2)
+    sets = zip(*(v.tolist() for v in (n1, mean1, var1, n2, mean2, var2)))
+    assert p.tolist() == [welch_test_from_moments(*m, 0.05).p_value for m in sets]
+
+
+def test_array_welch_squares_the_welch_dof_numerator_as_python_does():
+    # Python's x ** 2 is libm pow. With glibc 2.36 it rounds this set's
+    # (se1 + se2) ** 2 differently from x * x, which moves the p-value
+    # from 0.013439428761593172 to 0.013439428761593286.
+    moments = (134, -0.09305224801631141, 0.5814706582982921,
+               34, -0.8608053074446795, 2.821716314130389)
+    scalar = welch_test_from_moments(*moments, 0.05)
+    assert welch_p_values(*moments).tolist() == [scalar.p_value]
+
+
+@pytest.mark.parametrize("width", [1, 40])  # below and above the scalar tail
+def test_array_continued_fraction_equals_the_scalar_loop(width):
+    # (1, 4, 0.5) makes the first denominator exactly 0, so the 1e-300 floor engages
+    for a, b, x in ((1.0, 4.0, 0.5), (24.5, 0.5, 0.3), (0.5, 200.0, 0.999)):
+        expected = _beta_continued_fraction(a, b, x)
+        got = _beta_continued_fractions(np.full(width, a), np.full(width, b), np.full(width, x))
+        assert got.tolist() == [expected] * width
+    # neither converges in 500 iterations here
+    with pytest.raises(ArithmeticError):
+        _beta_continued_fraction(1e7, 1e7, 0.49999995)
+    with pytest.raises(ArithmeticError):
+        _beta_continued_fractions(np.full(width, 1e7), np.full(width, 1e7),
+                                  np.full(width, 0.49999995))
+
+
 def test_insufficient_samples():
     with pytest.raises(InsufficientSample):
         mean_equality_test([1.0], [1.0, 2.0], alpha=0.05)
     with pytest.raises(InsufficientSample):
         welch_test_from_moments(1, 0.0, 1.0, 5, 0.0, 1.0, 0.05)
+    with pytest.raises(InsufficientSample):
+        welch_p_values([5, 1], 0.0, 1.0, 5, 0.0, 1.0)
 
 
 @settings(max_examples=80, deadline=None)
