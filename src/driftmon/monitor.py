@@ -13,7 +13,8 @@ should be refit:
 * PeltPolicy: run an exact penalized changepoint segmentation over the
   per-batch mean losses accumulated since the last retrain; a detected
   changepoint triggers retraining and restarts the history after it. The
-  history (a PeltHistory) carries the search, which a step with a fixed
+  history (a PeltHistory) carries exact prefix sums of its values, so each
+  segment cost takes O(1), and the search, which a step with a fixed
   penalty resumes at the new batch. The default penalty changes with every
   batch, so then the search re-runs from scratch, reading the segment costs
   that earlier re-runs cached in the history.
@@ -42,7 +43,8 @@ import numpy as np
 
 from .errors import InsufficientSample
 from .schema import bounded, check_fields
-from .stats import TestResult, gaussian_segment_cost, welch_test_from_moments
+from .stats import (Segment, SummedValues, TestResult, gaussian_segment_cost,
+                    welch_test_from_moments)
 
 # Run-log decision labels of a retrain; the others are warmup, accept and
 # hold, and "final" marks the last scored batch, which no decision follows.
@@ -193,13 +195,15 @@ class PeltSearch:
         self.remove_at: dict[int, int] = {}
 
 
-class PeltHistory(list):
+class PeltHistory(SummedValues):
     """Per-batch mean losses since the last retrain, with their segment costs.
 
-    ``costs[end][start]`` is the segment cost of ``self[start:end]``. A cost
-    depends on the values alone, not on the penalty, and the history only
-    grows, so a search that starts from scratch reads the cache and fills it
-    on a miss. Keyed per end, then per start: tuple keys cost twice the
+    The values keep exact prefix sums (SummedValues), so the default cost of
+    any segment takes O(1), and ``append`` raises ValueError on ``nan`` or
+    ``inf``. ``costs[end][start]`` is the segment cost of
+    ``self[start:end]``. A cost depends on the values alone, not on the
+    penalty, and the history only grows, so a search that starts from
+    scratch reads the cache and fills it on a miss. Keyed per end, then per start: tuple keys cost twice the
     memory. ``search`` is the state of the last search (None before the
     first): a search with the same penalty and ``min_seg_len`` resumes it at
     the first unsolved end and stores no costs, since no later step of that
@@ -216,7 +220,7 @@ class PeltHistory(list):
         self.search: PeltSearch | None = None
 
     def after(self, start: int) -> PeltHistory:
-        """The history from ``start`` on, with no cached costs and no search.
+        """The history from ``start`` on, with fresh sums, no cached costs and no search.
 
         The first search after a changepoint re-solves the remainder.
         """
@@ -352,8 +356,8 @@ class PeltPolicy(Policy):
         batch = batch_moments(new_losses)
         if batch.n == 0:
             raise InsufficientSample("loss batch must be nonempty")
+        state.loss_history.append(batch.mean)  # raises on a non-finite mean
         state.batches_seen += 1
-        state.loss_history.append(batch.mean)
         changepoints: list[int] = []
         if len(state.loss_history) >= 2 * self.min_seg_len:
             changepoints, _ = pelt(state.loss_history, self.penalty_for(state.batches_seen),
@@ -418,6 +422,11 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     subadditive (splitting a segment never increases the summed cost), which
     holds for the Gaussian cost used here.
 
+    ``cost`` is called once per evaluated segment with a stats.Segment view
+    of the history, ``(values, start, end)``; the default cost reads it from
+    the history's exact prefix sums in O(1). Any other sequence becomes a
+    new PeltHistory first, so its values must be finite.
+
     A PeltHistory keeps the search: called again with the same penalty and
     ``min_seg_len`` after appends, ``pelt`` runs only the new ends, so a
     step costs O(live candidates), and stores none of their costs. Any other
@@ -428,8 +437,7 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     empty cache.
     """
     history = values if isinstance(values, PeltHistory) else PeltHistory(values)
-    x = np.asarray(history, dtype=float)
-    n = x.size
+    n = len(history)
     L = min_seg_len
     if L < 2:
         raise ValueError("min_seg_len must be >= 2")
@@ -460,7 +468,7 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
             active.append(tau)
             c = known.get(tau)
             if c is None:
-                c = known[tau] = cost(x[tau:s])
+                c = known[tau] = cost(Segment(history, tau, s))
             seg_costs.append(c)
         best = math.inf
         best_tau = active[0]

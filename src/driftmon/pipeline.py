@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientHistory
+from .errors import ConfigError
 from .evaluate import BatchRecord, Report, RunLog, build_report, squared_loss_batch
 from .features import DesignMatrix, FeatureSpec, feature_matrix, training_set
 from .forecasters import (
@@ -223,28 +223,55 @@ def _shift_batches(scenario: RegimeScenario, stream_ids, origins, horizon) -> di
     return out
 
 
-_NO_DECISION = MonitorDecision(retrain=False)  # the final batch's: no forecast follows it
+def _forecast_origins(config: RunConfig, streams: StreamSet) -> list[int]:
+    """The batch ends a run forecasts from, after checking the config against the panel.
 
-
-def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
-    """Execute the monitored forecasting loop and return the full log."""
-    streams = stream_set if stream_set is not None else materialize(config)
+    Raises ConfigError, naming the key, when the panel cannot hold the run:
+    batches of another size, a training window that leaves fewer than two
+    forecast origins, or a first training window with fewer rows than the
+    forecaster's fit needs (the forest's node size, two for lasso and
+    boosting). That window is the smallest: later ones lose fewer rows to
+    the lag trim.
+    """
     if streams.slots_per_batch != config.slots_per_batch:
         raise ConfigError("slots_per_batch", f"is {config.slots_per_batch} but the panel "
                                              f"has {streams.slots_per_batch}")
     spec = config.feature_spec
     B, Q = config.slots_per_batch, config.horizon
     T = streams.n_ticks
-    t0 = config.window_days * spec.slots_per_day
-    if t0 % B != 0:
-        t0 += B - t0 % B  # first batch end with a full training window behind it
+    window = config.window_days * spec.slots_per_day
+    t0 = window + (-window) % B  # first batch end with a full training window behind it
     if t0 + Q > T:
-        raise InsufficientHistory(
-            f"stream has {T} ticks; initial window needs {t0} plus a {Q}-step horizon"
-        )
+        raise ConfigError("window_days", f"the panel has {T} ticks; the initial window needs "
+                                         f"{t0} plus a {Q}-step horizon")
     ends = [b for b in batch_ends(streams) if b >= t0 and b + Q <= T]
     if len(ends) < 2:
-        raise InsufficientHistory("need at least two forecast origins past the initial window")
+        raise ConfigError("window_days", f"the panel of {T} ticks leaves fewer than two "
+                                         "forecast origins past the initial window")
+    rows = ends[0] - max(ends[0] - window, spec.max_lag)
+    node_size = config.hyperparams.forest.min_node_size
+    if config.forecaster == "forest" and rows < node_size:
+        raise ConfigError("forest_min_node_size", f"is {node_size} but the first training "
+                                                  f"window has {rows} rows")
+    if config.forecaster in ("lasso", "boosting") and rows < 2:
+        raise ConfigError("window_days", f"leaves the first training window {rows} row after "
+                                         f"the lag trim; {config.forecaster} needs 2")
+    return ends
+
+
+_NO_DECISION = MonitorDecision(retrain=False)  # the final batch's: no forecast follows it
+
+
+def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
+    """Execute the monitored forecasting loop and return the full log.
+
+    The config is checked against the panel (``_forecast_origins``) before the
+    first fit.
+    """
+    streams = stream_set if stream_set is not None else materialize(config)
+    ends = _forecast_origins(config, streams)
+    spec = config.feature_spec
+    Q = config.horizon
 
     log = RunLog(stream_ids=streams.stream_ids, horizon=Q,
                  policy_name=config.policy.name, forecaster=config.forecaster,

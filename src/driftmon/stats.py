@@ -19,9 +19,13 @@ for bit.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
-target. The Gaussian segment cost makes the ufunc calls of ``np.var`` itself,
-in the same order, so it equals the ``np.var`` formula bit for bit at a
-fraction of the call overhead.
+target. The Gaussian segment cost's MLE variance is the exact variance of
+the segment's floats, correctly rounded: floats are dyadic rationals, so
+scaled to a common power of two they are exact ints, and one int/int
+division rounds the exact ratio once. ``SummedValues`` keeps exact prefix
+sums of its values and their squares, so the cost of any of its segments
+(a ``Segment`` view) takes O(1), and equals the cost of the same values as
+a slice bit for bit.
 """
 
 from __future__ import annotations
@@ -365,6 +369,73 @@ def bic(rss: float, n: int, k: int, tss: float = 1.0) -> float:
     return n * math.log(rss / n) + k * math.log(n)
 
 
+class SummedValues(list):
+    """Finite floats with exact integer prefix sums of the values and their squares.
+
+    Each value times ``2**scale`` is an int: a float is ``p / 2**k``, so any
+    scale at least every value's ``k`` makes all of them exact. ``s1[i]`` and
+    ``s2[i]`` sum the first ``i`` scaled values and their squares. A value
+    that needs a finer scale shifts the sums left, which is exact, so the
+    scale only grows. Only ``append`` keeps the sums valid.
+    """
+
+    __slots__ = ("scale", "s1", "s2")
+
+    def __init__(self, values=()):
+        super().__init__()
+        self.scale = 0
+        self.s1 = [0]
+        self.s2 = [0]
+        for value in values:
+            self.append(value)
+
+    def append(self, value) -> None:
+        """Append a finite float; ``nan`` and ``inf`` raise ValueError."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"segment values must be finite, got {value}")
+        p, q = value.as_integer_ratio()
+        k = q.bit_length() - 1
+        if k > self.scale:
+            shift = k - self.scale
+            self.s1 = [s << shift for s in self.s1]
+            self.s2 = [s << 2 * shift for s in self.s2]
+            self.scale = k
+        x = p << (self.scale - k)
+        self.s1.append(self.s1[-1] + x)
+        self.s2.append(self.s2[-1] + x * x)
+        super().append(value)
+
+    def variance(self, start: int, end: int) -> float:
+        """The MLE (ddof=0) variance of ``self[start:end]``, exact and correctly rounded.
+
+        ``(n*S2 - S1**2) / (n**2 * 4**scale)`` over the segment's sums, in one
+        int/int true division, which Python rounds correctly, subnormals
+        included; a variance past the float range is inf.
+        """
+        n = end - start
+        s1 = self.s1[end] - self.s1[start]
+        try:
+            return (n * (self.s2[end] - self.s2[start]) - s1 * s1) / (n * n << 2 * self.scale)
+        except OverflowError:
+            return math.inf
+
+
+class Segment:
+    """The view ``values[start:end]`` of a SummedValues, costed from its prefix sums."""
+
+    __slots__ = ("values", "start", "end")
+
+    def __init__(self, values: SummedValues, start: int, end: int):
+        self.values = values
+        self.start = start
+        self.end = end
+
+    @property
+    def size(self) -> int:
+        return self.end - self.start
+
+
 def gaussian_segment_cost(segment) -> float:
     """Twice the negative maximized Gaussian log-likelihood of a segment.
 
@@ -372,15 +443,17 @@ def gaussian_segment_cost(segment) -> float:
     constant segments finite; the cost stays subadditive under it, which is
     what exact pruning in the changepoint search relies on.
 
-    The MLE variance is ``np.var``'s own sequence of ufunc calls (mean,
-    deviations, their squares, summed and divided by n), without its
-    Python-level dispatch, so it equals ``np.var(segment)`` bit for bit.
+    ``var_mle`` is the exact variance of the segment's floats, correctly
+    rounded (``SummedValues.variance``). A Segment view reads it from its
+    values' prefix sums in O(1) and never touches the values; any other
+    sequence of finite floats is summed the same way first, so both give the
+    same cost bit for bit. ``nan`` or ``inf`` raises ValueError.
     """
-    segment = np.asarray(segment, dtype=float)
+    if not isinstance(segment, Segment):
+        values = SummedValues(np.asarray(segment, dtype=float).ravel().tolist())
+        segment = Segment(values, 0, len(values))
     n = segment.size
     if n < 2:
         raise InsufficientSample(f"segment needs >= 2 observations, got {n}")
-    dev = segment - np.add.reduce(segment, axis=None) / n
-    var = float(np.add.reduce(dev * dev, axis=None) / n)
-    var = max(var, SEGMENT_VAR_FLOOR)
+    var = max(segment.values.variance(segment.start, segment.end), SEGMENT_VAR_FLOOR)
     return n * (_LOG_2PI + math.log(var) + 1.0)

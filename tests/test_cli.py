@@ -59,12 +59,32 @@ def test_bad_flags_exit_2(capsys):
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):
-    # valid config, but the panel is too short to train on: runtime error
-    short = RegimeScenario(n_streams=2, n_days=9, slots_per_day=60, seed=1)
-    config = write_config(tmp_path, name="short.json",
-                          data_scenario_inline=short.to_dict())
-    assert main(["run", "--config", config]) == 1
+    # valid config, but a cell of its CSV panel is missing: runtime error
+    panel = tmp_path / "panel.csv"
+    assert main(["gen-data", "--scenario", write_scenario(tmp_path), "--out", str(panel)]) == 0
+    lines = panel.read_text().splitlines()
+    panel.write_text("\n".join(lines[:-1]) + "\n")
+    config = tmp_path / "gap.json"
+    config.write_text(json.dumps({"data_csv": str(panel), "forecaster": "naive",
+                                  "window_days": 8}))
+    assert main(["run", "--config", str(config)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"data_scenario_inline": RegimeScenario(n_streams=2, n_days=9, slots_per_day=60,
+                                             seed=1).to_dict()}, "window_days"),
+    ({"window_days": 180}, "window_days"),
+    ({"forecaster": "forest", "forest_min_node_size": 100000}, "forest_min_node_size"),
+])
+def test_config_the_panel_cannot_hold_exits_2(tmp_path, capsys, overrides, key):
+    # each passes validation; the run checks it against the panel before the first fit
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field {key!r}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_writes_outputs(tmp_path, capsys):

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,7 @@ from driftmon.monitor import (
     pelt,
     row_moments,
 )
+from driftmon.stats import Segment
 from oracles import enumerate_segmentations, optimal_partition
 
 
@@ -262,8 +263,8 @@ def test_pelt_step_mechanics():
 
 
 def _segment_start(segment) -> int:
-    """Index of a segment's first value in the array pelt sliced it from."""
-    return (segment.ctypes.data - segment.base.ctypes.data) // segment.itemsize
+    """Index of a segment's first value in the history pelt viewed it in."""
+    return segment.start
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,6 +377,50 @@ def test_pelt_history_after_drops_costs_and_search():
     assert list(rest) == [4.0, 8.0, 16.0]
     assert rest.costs == {}
     assert rest.search is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([1.0, 0.1, 1e-30, 0.0, -0.0, -2.5, 3e10]),
+                                 st.floats(-1e6, 1e6)),
+                       min_size=2, max_size=30),
+       cut=st.integers(0, 30))
+@example(values=[1.0, 0.1, 1e-30, 0.0, -4.0, 0.1], cut=2)  # each of the first three rescales
+def test_prefix_sum_costs_equal_slice_costs(values, cut):
+    history = PeltHistory()
+    for value in values:
+        history.append(value)
+    for h in (history, history.after(min(cut, len(history)))):
+        x = np.asarray(h)
+        for end in range(2, len(h) + 1):
+            for start in range(end - 1):
+                assert (monitor.gaussian_segment_cost(Segment(h, start, end))
+                        == monitor.gaussian_segment_cost(x[start:end]))
+
+
+def test_default_cost_never_reads_the_history_values():
+    rng = np.random.default_rng(14)
+    x = np.concatenate([rng.normal(size=30), 4.0 + rng.normal(size=30)])
+    want = pelt(list(x), 6.0, 3)
+    history = PeltHistory(x)
+    history[:] = [math.nan] * x.size  # list assignment bypasses the prefix sums
+    # a cost computed from the values would raise on nan
+    assert pelt(history, 6.0, 3) == want
+    assert (monitor.gaussian_segment_cost(Segment(history, 5, 40))
+            == monitor.gaussian_segment_cost(x[5:40]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pelt_history_rejects_non_finite_values(bad):
+    history = PeltHistory([1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        history.append(bad)
+    assert list(history) == [1.0, 2.0] and len(history.s1) == 3
+    with pytest.raises(ValueError, match="finite"):
+        pelt([1.0, 2.0, bad, 3.0], 1.0)
+    state = new_state(PeltPolicy(penalty=5.0))
+    with pytest.raises(ValueError, match="finite"):
+        observe(state, np.array([bad]))
+    assert state.batches_seen == 0 and not state.loss_history
 
 
 def test_fixed_penalty_history_keeps_only_the_first_search_costs():

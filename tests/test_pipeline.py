@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftmon.errors import ConfigError, InsufficientHistory
+from driftmon.errors import ConfigError
 from driftmon.evaluate import build_report, read_runlog, report_to_dict, write_runlog
 from driftmon.features import FeatureSpec
 from driftmon.forecasters import BoostingParams, ForestParams, HyperParams, LassoParams
@@ -226,8 +226,42 @@ def test_mean_test_needs_two_losses_per_batch():
 
 
 def test_insufficient_history():
-    with pytest.raises(InsufficientHistory):
+    with pytest.raises(ConfigError) as err:
         run(naive_config(NeverPolicy(), source=tiny_scenario(0, n_days=8)))
+    assert err.value.field == "window_days"
+
+
+def test_a_window_leaving_one_forecast_origin_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        run(naive_config(NeverPolicy(), source=tiny_scenario(0, n_days=9)))
+    assert err.value.field == "window_days"
+    assert "fewer than two forecast origins" in str(err.value)
+
+
+def test_forest_node_size_above_the_first_window_is_a_config_error():
+    # an 8-day window of 60-slot days minus the 420-tick lag trim: 60 rows
+    # at the first batch end, more at later ones
+    def forest(min_node_size):
+        return RunConfig(source=tiny_scenario(3, n_days=12), forecaster="forest",
+                         policy=EveryKBatches(k=1), feature_spec=SMALL_SPEC, window_days=8,
+                         hyperparams=HyperParams(forest=ForestParams(
+                             n_trees=2, min_node_size=min_node_size)))
+    with pytest.raises(ConfigError) as err:
+        run(forest(61))
+    assert err.value.field == "forest_min_node_size"
+    assert "has 60 rows" in str(err.value)
+    assert len(run(forest(60)).records) > 0
+
+
+@pytest.mark.parametrize("forecaster", ["lasso", "boosting"])
+def test_a_one_row_first_window_is_a_config_error_for_lasso_and_boosting(forecaster):
+    # a 480-tick window after a 479-tick lag trim keeps one row; the fits need two
+    config = RunConfig(source=tiny_scenario(4, n_days=12), forecaster=forecaster,
+                       policy=NeverPolicy(), window_days=8,
+                       feature_spec=FeatureSpec(lags=(60, 479), slots_per_day=60))
+    with pytest.raises(ConfigError) as err:
+        run(config)
+    assert err.value.field == "window_days"
 
 
 def test_forest_pipeline_smoke():

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
@@ -10,6 +11,7 @@ from scipy import stats as scipy_stats
 
 from driftmon.errors import InsufficientSample
 from driftmon.stats import (
+    SummedValues,
     TestResult,
     _beta_continued_fraction,
     _beta_continued_fractions,
@@ -237,19 +239,38 @@ def test_gaussian_segment_cost_values():
     assert flat == pytest.approx(n * (math.log(2 * math.pi) + math.log(1e-8) + 1))
     with pytest.raises(InsufficientSample):
         gaussian_segment_cost([1.0])
+    assert gaussian_segment_cost([-1e300, 1e300]) == math.inf  # the variance overflows
+
+
+def _exact_variance(values) -> Fraction:
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs, Fraction(0)) / len(xs)
+    return sum(((x - mean) ** 2 for x in xs), Fraction(0)) / len(xs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(values=arrays(np.float64, st.integers(2, 400),
-                     elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
-       strided=st.booleans(), exponent=st.integers(-100, 100))
-def test_segment_cost_equals_the_np_var_formula_exactly(values, strided, exponent):
+@given(values=arrays(np.float64, st.integers(2, 400), elements=st.floats(-1.0, 1.0)),
+       strided=st.booleans(),
+       exponent=st.one_of(st.integers(-100, 100), st.integers(-170, -155)))
+@example(values=np.array([0.0, 3.0]), strided=False, exponent=-160)  # variance 2.25e-320
+def test_segment_cost_is_the_formula_on_the_correctly_rounded_variance(values, strided,
+                                                                       exponent):
     seg = values * 10.0 ** exponent
     if strided:
         seg = np.repeat(seg, 2)[::2]
     n = seg.size
-    expected = n * (math.log(2 * math.pi) + math.log(max(float(np.var(seg)), 1e-8)) + 1.0)
+    var = float(_exact_variance(seg.tolist()))  # Fraction rounds correctly
+    assert SummedValues(seg).variance(0, n) == var
+    expected = n * (math.log(2 * math.pi) + math.log(max(var, 1e-8)) + 1.0)
     assert gaussian_segment_cost(seg) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_segment_cost_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_segment_cost([1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_segment_cost(np.array([bad, 1.0]))
 
 
 @settings(max_examples=60, deadline=None)
