@@ -10,8 +10,10 @@ results do not depend on execution order. One process steps all
 replications together: each round tests every replication's next WINDOW
 batches in one array Welch test, against the references the monitor would
 hold if the window's earlier tests accepted, and keeps the tests up to each
-replication's first rejection. Counts and p-values are those of stepping
-``observe`` on the raw batches, bit for bit.
+replication's first rejection. Counts are those of stepping ``observe`` on
+the raw batches, bit for bit. Most tests are decided from their t statistic
+alone (``welch_rejections``); only those in the narrow band between its
+normal and Student-t bounds get a p-value, which is the scalar test's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import ConfigError
 # observe is unused here; bench/tracing.py wraps simulate.observe by name
 from .monitor import merged_moments, moment_arrays, observe  # noqa: F401
 from .schema import bounded, check_fields
-from .stats import welch_p_values
+from .stats import welch_rejections
 from .streams import MAX_MAGNITUDE, StreamSet
 
 DISTRIBUTIONS = ("gaussian", "chisquare5")
@@ -96,8 +98,10 @@ def replication_counts(config: NullStudyConfig) -> tuple[np.ndarray, np.ndarray]
     the window accepted. The first rejection ends the replication's window
     and the tests after it are dropped, so the counts are those of stepping
     ``observe`` batch by batch. The references are ``ReferenceBatch``'s
-    (both merge with ``merged_moments``) and the p-values are
-    ``welch_test_from_moments``'s, bit for bit. A replication's stream is
+    (both merge with ``merged_moments``), bit for bit, and each decision is
+    ``welch_test_from_moments``'s: ``welch_rejections`` decides most tests
+    from t alone and computes p-values only in the band between its
+    bounds. A replication's stream is
     drawn a chunk of whole batches at a time, and only the moments of
     batches drawn but not yet stepped are kept, so memory does not grow
     with the stream length.
@@ -159,9 +163,9 @@ def _group_counts(config: NullStudyConfig, replications: range) -> tuple[np.ndar
         tested = steps[:WINDOW] < length[:, None]
         n1 = ns[:, :WINDOW][tested]
         reject = np.zeros(tested.shape, dtype=bool)
-        reject[tested] = welch_p_values(n1, ref_means[:, :WINDOW][tested],
-                                        ref_m2s[:, :WINDOW][tested] / (n1 - 1), size,
-                                        means[tested], variances[tested]) < config.alpha
+        reject[tested] = welch_rejections(n1, ref_means[:, :WINDOW][tested],
+                                          ref_m2s[:, :WINDOW][tested] / (n1 - 1), size,
+                                          means[tested], variances[tested], config.alpha)
         hit = reject.any(axis=1)
         used = np.where(hit, reject.argmax(axis=1) + 1, length)
         rows = np.arange(active.size)

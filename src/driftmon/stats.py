@@ -15,7 +15,10 @@ a power of two leaves the decision unchanged. Moments far from 1 are first
 divided by a power of two, which is exact and leaves the statistic as it
 is, so that no square in the test under- or overflows. ``welch_p_values``
 runs many such tests at once; each p-value equals the scalar test's bit
-for bit.
+for bit. ``welch_rejections`` gives only the decisions, the same ones: most
+tests are decided from |t| alone, below a normal and above a Student-t
+critical bound that hold for every Welch dof, and only the tests between
+the bounds get a p-value.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
@@ -30,6 +33,7 @@ a slice bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,6 +237,128 @@ def welch_p_values(n1, mean1, var1, n2, mean2, var2) -> np.ndarray:
     dof = _each(_square, se_sum) / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
     p[live] = _student_t_two_sided_ps(t, dof)
     return p
+
+
+# A screen decides a test from t alone only where the bound's p-value is off
+# alpha by this relative margin, far above a computed p-value's rounding error.
+_SCREEN_MARGIN = 1e-6
+# Above this alpha the bounds are small t, where rounding dof + t * t in the
+# p-value moves it by more than the margin at large dof; no test is screened.
+_SCREEN_MAX_ALPHA = 0.5
+# Below this, p-values near a bound may be subnormal and lose their relative
+# precision: the accept bound stops at it, and no reject bound lies under it.
+_SCREEN_P_FLOOR = 1e-280
+# Tests with more than this many values together are not screened: math.lgamma's
+# absolute error grows with its argument, and so the p-value's relative error.
+_SCREEN_MAX_N = 2 ** 24
+# The reject bound's search gives up past this t, whose square still is finite.
+_SCREEN_MAX_T = 2.0 ** 500
+# Unscreened tests up to this many take the scalar test, one by one; more take
+# welch_p_values, whose numpy calls cost about as much as this many scalar tests.
+_SCALAR_BAND = 32
+
+
+def welch_rejections(n1, mean1, var1, n2, mean2, var2, alpha: float) -> np.ndarray:
+    """Whether each Welch test rejects at ``alpha``: ``welch_p_values(...) < alpha``.
+
+    Arguments broadcast as in ``welch_p_values``, and element i equals its
+    element i ``< alpha``. Most tests are decided from |t| alone, by two
+    bounds on the two-sided p-value P(|T_dof| >= t) that hold for every
+    Welch dof; only the tests between them get a p-value.
+
+    - Accept below z, where erfc(z / sqrt(2)) >= alpha * (1 + 1e-6). For
+      every real dof > 0, P(|T_dof| >= t) >= P(|Z| >= t) = erfc(t / sqrt(2)):
+      T_dof is Z / sqrt(S) with S = chi2_dof / dof independent of Z and
+      E[S] = 1, so P(|T_dof| >= t) = E[g(S)] with g(s) = erfc(t * sqrt(s / 2)).
+      For t > 0, g''(s) = t * phi(t * sqrt(s)) * (t**2 * s + 1) / (2 * s**1.5) > 0,
+      so g is convex and Jensen gives E[g(S)] >= g(E[S]) = g(1).
+    - Reject above t_hi, where ``student_t_two_sided_p(t_hi, nu) <=
+      alpha * (1 - 1e-6)`` for nu = min(n1, n2) - 1 over all the tests. The
+      Welch dof is at least nu: with f = min(n1, n2) - 1 and se_i = var_i / n_i,
+      se1**2 / (n1 - 1) + se2**2 / (n2 - 1) <= (se1**2 + se2**2) / f
+      <= (se1 + se2)**2 / f. And P(|T_dof| >= t) falls as dof grows: chi2_dof / dof
+      keeps its mean 1 and shrinks in the convex order as dof grows (gamma
+      laws of one mean, ordered by shape), and g above is convex.
+    - The margin of 1e-6 covers the computed p-value's rounding error, and
+      a Welch dof that rounds a few ulps below nu. That error stays below
+      1e-7 where tests are screened: alpha is at most 0.5, so both bounds
+      are at least 0.67 and rounding dof + t * t moves the p-value little; a
+      test has at most 2**24 values, so math.lgamma's error stays small;
+      and no bound's p-value lies below 1e-280, far from the subnormals.
+
+    Every other test takes the exact path: all of them above alpha 0.5, and
+    otherwise those with degenerate moments, with moments whose size lies
+    outside (1e-100, 1e100), with more than 2**24 values, or with |t| in
+    [z, t_hi]. Up to 32 go through the scalar test, more through
+    ``welch_p_values``. The bounds are computed once per (alpha, nu).
+    """
+    if not alpha <= _SCREEN_MAX_ALPHA:
+        return welch_p_values(n1, mean1, var1, n2, mean2, var2) < alpha
+    n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
+    n1, n2 = n1.ravel(), n2.ravel()
+    if not n1.size:
+        return np.zeros(0, dtype=bool)
+    nu = int(min(n1.min(), n2.min())) - 1
+    if nu < 1:
+        raise InsufficientSample("need >= 2 observations per sample")
+    mean1, var1, mean2, var2 = (np.asarray(v, dtype=float).ravel()
+                                for v in (mean1, var1, mean2, var2))
+    # a smaller nu keeps a valid reject bound; no screened test has a larger one
+    z, t_hi = _screen_bounds(float(alpha), min(nu, _SCREEN_MAX_N // 2))
+    # t as welch_p_values computes it; degenerate and far moments may divide
+    # by zero or overflow here, and take the exact path
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        size = mean1 * mean1 + mean2 * mean2 + var1 + var2
+        t = np.abs(mean1 - mean2) / np.sqrt(var1 / n1 + var2 / n2)
+        screened = ((1e-100 < size) & (size < 1e100) & (n1 + n2 <= _SCREEN_MAX_N)
+                    & ((var1 > DEGENERATE_VAR * size) | (var2 > DEGENERATE_VAR * size)))
+    reject = screened & (t > t_hi)
+    exact = np.flatnonzero(~(reject | (screened & (t < z))))
+    if exact.size > _SCALAR_BAND:
+        reject[exact] = welch_p_values(n1[exact], mean1[exact], var1[exact],
+                                       n2[exact], mean2[exact], var2[exact]) < alpha
+    elif exact.size:
+        columns = [v[exact].tolist() for v in (n1, mean1, var1, n2, mean2, var2)]
+        reject[exact] = [welch_test_from_moments(*moments, alpha).reject
+                         for moments in zip(*columns)]
+    return reject
+
+
+@functools.lru_cache(maxsize=256)
+def _screen_bounds(alpha: float, nu: int) -> tuple[float, float]:
+    """(z, t_hi) of ``welch_rejections``: accept |t| < z, reject |t| > t_hi.
+
+    t_hi = inf means no reject screen; z = 0, no accept screen, only comes
+    of an alpha near 1, which ``welch_rejections`` does not screen.
+    """
+    target = max(alpha, _SCREEN_P_FLOOR) * (1.0 + _SCREEN_MARGIN)
+    lo, hi = 0.0, 40.0  # erfc(40 / sqrt(2)) rounds to 0, below any target
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) >= target:
+            lo = mid
+        else:
+            hi = mid
+    target = alpha * (1.0 - _SCREEN_MARGIN)
+    return lo, _t_bound(target, float(nu)) if target >= _SCREEN_P_FLOOR else math.inf
+
+
+def _t_bound(target: float, dof: float) -> float:
+    """A t with ``student_t_two_sided_p(t, dof) <= target``, within 1e-12 of the
+    least, or inf when none lies below 2**500."""
+    lo, hi = 0.0, 1.0
+    while not student_t_two_sided_p(hi, dof) <= target:
+        if hi >= _SCREEN_MAX_T:
+            return math.inf
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if student_t_two_sided_p(mid, dof) <= target:
+            hi = mid
+        else:
+            lo = mid
+    # the bisection keeps the inequality at hi; check it once more all the same
+    return hi if student_t_two_sided_p(hi, dof) <= target else math.inf
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:

@@ -281,6 +281,7 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
                             for length, level in regimes])
     real_pelt = monitor.pelt
     seen: dict[tuple[int, int, int], int] = {}
+    histories = []  # kept alive, so that no later history reuses one's id
     batches = 0
 
     def checked_pelt(values, penalty, min_seg_len=2, cost=monitor.gaussian_segment_cost):
@@ -293,6 +294,7 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
             return cost(segment)
 
         assert isinstance(values, PeltHistory)
+        histories.append(values)
         got = real_pelt(values, penalty, min_seg_len, counting_cost)
         assert got == real_pelt(list(values), penalty, min_seg_len)
         return got

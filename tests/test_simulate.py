@@ -89,12 +89,15 @@ def raw_batch_replication(config, rep):
 @pytest.mark.parametrize("batch_size", [2, 10, 50])
 @pytest.mark.parametrize("reseed", [False, True])
 def test_replication_on_row_moments_matches_raw_batch_loop(distribution, batch_size, reseed):
-    config = NullStudyConfig(distribution=distribution, stream_length=40 * batch_size,
-                             batch_size=batch_size, alpha=0.1, n_replications=4, seed=3,
-                             reseed_with_rejecting_batch=reseed)
-    rejections, tests = replication_counts(config)
-    for rep in range(config.n_replications):
-        assert (rejections[rep], tests[rep]) == raw_batch_replication(config, rep)
+    # alpha 1e-300 has no reject screen, and at batch 2 its accept screen meets
+    # Welch dofs down to 1
+    for alpha in (0.1, 1e-300) if batch_size == 2 else (0.1,):
+        config = NullStudyConfig(distribution=distribution, stream_length=40 * batch_size,
+                                 batch_size=batch_size, alpha=alpha, n_replications=4, seed=3,
+                                 reseed_with_rejecting_batch=reseed)
+        rejections, tests = replication_counts(config)
+        for rep in range(config.n_replications):
+            assert (rejections[rep], tests[rep]) == raw_batch_replication(config, rep)
 
 
 # a batch size whose draw chunk holds 20 batches, so windows cross chunk boundaries
@@ -103,7 +106,7 @@ CHUNKED_BATCH = DRAW_VALUES // 20
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 @pytest.mark.parametrize("reseed", [False, True])
-@pytest.mark.parametrize("alpha", [0.01, 0.05, 1.0])
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.999, 1.0])
 def test_windowed_counts_equal_stepping_the_monitor(distribution, reseed, alpha):
     # fewer batches than a window, a window's worth and one either side, and
     # counts that are not multiples of the window; the stream length leaves

@@ -15,6 +15,8 @@ from driftmon.stats import (
     TestResult,
     _beta_continued_fraction,
     _beta_continued_fractions,
+    _screen_bounds,
+    _t_bound,
     bic,
     gaussian_segment_cost,
     mean_equality_test,
@@ -22,6 +24,7 @@ from driftmon.stats import (
     student_t_cdf,
     student_t_two_sided_p,
     welch_p_values,
+    welch_rejections,
     welch_test_from_moments,
 )
 
@@ -152,6 +155,85 @@ def test_array_continued_fraction_equals_the_scalar_loop(width):
     with pytest.raises(ArithmeticError):
         _beta_continued_fractions(np.full(width, 1e7), np.full(width, 1e7),
                                   np.full(width, 0.49999995))
+
+
+SCREEN_ALPHAS = (5e-324, 1e-300, 1e-6, 0.01, 0.05, 0.5, 0.999, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.sampled_from(SCREEN_ALPHAS), k=st.integers(1, 60), seed=st.integers(0, 2 ** 32))
+def test_welch_rejections_equal_the_p_values_below_alpha(alpha, k, seed):
+    # |t| at, just inside and just outside the screen bounds, or 0; one set
+    # in ten degenerate, and one in three scaled by a power of two, to sizes
+    # outside (1e-100, 1e100) and to subnormal variances (2**-530)
+    rng = np.random.default_rng(seed)
+    n1, n2 = rng.integers(2, 10 ** 5, k, endpoint=True), rng.integers(2, 500, k, endpoint=True)
+    z, t_hi = _screen_bounds(alpha, int(min(n1.min(), n2.min())) - 1)
+    bounds = [b for b in (z, t_hi) if 0.0 < b < math.inf] or [1.0]
+    rel = rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.1], k)
+    t = rng.choice(bounds, k) * (1.0 + rng.choice([-1.0, 1.0], k) * rel)
+    t[rng.random(k) < 0.1] = 0.0
+    var1, var2 = 10.0 ** rng.uniform(-3, 3, k), 10.0 ** rng.uniform(-3, 3, k)
+    mean1 = rng.uniform(-1e3, 1e3, k)
+    mean2 = mean1 - t * np.sqrt(var1 / n1 + var2 / n2)
+    degenerate = rng.random(k) < 0.1
+    var1[degenerate] = rng.choice([0.0, 1e-20], degenerate.sum())
+    var2[degenerate] = 0.0
+    mean2[degenerate] = mean1[degenerate] + rng.choice([0.0, 1e-12, 1.0], degenerate.sum())
+    scale = rng.choice([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0 ** -530, 2.0 ** -400, 2.0 ** 400], k)
+    moments = (n1, scale * mean1, scale * scale * var1, n2, scale * mean2, scale * scale * var2)
+    expected = welch_p_values(*moments) < alpha
+    assert welch_rejections(*moments, alpha).tolist() == expected.tolist()
+
+
+def test_welch_rejections_on_wide_bands_and_edge_inputs():
+    # references against batches of 50, as the null study tests them, so many
+    # that the tests between the bounds go through welch_p_values
+    rng = np.random.default_rng(23)
+    k = 5_000
+    n1 = rng.integers(50, 5_000, k)
+    mean1, mean2 = rng.normal(0.0, 0.1, k), rng.normal(0.0, 0.15, k)
+    var1, var2 = rng.exponential(1.0, k), rng.exponential(1.0, k)
+    for alpha in (1e-6, 0.01, 0.05, 0.5, 0.999):
+        expected = welch_p_values(n1, mean1, var1, 50, mean2, var2) < alpha
+        assert welch_rejections(n1, mean1, var1, 50, mean2, var2, alpha).tolist() == \
+            expected.tolist()
+    assert welch_rejections([], [], [], [], [], [], 0.05).tolist() == []
+    with pytest.raises(InsufficientSample):
+        welch_rejections([5, 1], 0.0, 1.0, 5, 0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("alpha", SCREEN_ALPHAS)
+@pytest.mark.parametrize("nu", [1, 2, 49, 10 ** 6])
+def test_screen_bounds_meet_their_inequalities(alpha, nu):
+    z, t_hi = _screen_bounds(alpha, nu)
+    assert z == 0.0 or math.erfc(z / math.sqrt(2.0)) >= max(alpha, 1e-280) * (1.0 + 1e-6)
+    assert t_hi == math.inf or student_t_two_sided_p(t_hi, nu) <= alpha * (1.0 - 1e-6)
+    if alpha == 0.05:
+        assert z == pytest.approx(1.959964, abs=1e-6)
+        assert t_hi == pytest.approx(scipy_stats.t.isf(0.025, nu), rel=1e-5)
+
+
+def test_reject_bound_search_at_the_ends_of_the_alpha_range():
+    # at alpha 1 the bound lies near 1.6e-6, where a bisection that loses its
+    # invariant can end on a t whose p-value is 1.0; at alpha 1e-300 and nu 1
+    # it lies near 6.4e299, past the search's cap of 2**500
+    t = _t_bound(1.0 - 1e-6, 1.0)
+    assert student_t_two_sided_p(t, 1.0) <= 1.0 - 1e-6 < student_t_two_sided_p(0.999 * t, 1.0)
+    assert _t_bound(1e-300, 1.0) == math.inf
+
+
+def test_t_tail_lies_above_the_normal_tail_and_falls_with_dof():
+    # the two premises of welch_rejections' screens, near the critical values
+    dofs = (1.0, 1.5, 2.0, 10.0, 1e3, 1e6)
+    criticals = [scipy_stats.norm.isf(alpha / 2) for alpha in (0.5, 0.05, 0.01, 1e-6)]
+    criticals += [scipy_stats.t.isf(alpha / 2, dof) for alpha in (0.5, 0.05, 0.01, 1e-6)
+                  for dof in dofs]
+    for critical in criticals:
+        for t in (critical * (1.0 - 1e-3), critical, critical * (1.0 + 1e-3)):
+            tails = [student_t_two_sided_p(t, dof) for dof in dofs]
+            assert min(tails) >= math.erfc(t / math.sqrt(2.0))
+            assert all(fewer >= more for fewer, more in zip(tails, tails[1:]))
 
 
 def test_insufficient_samples():
