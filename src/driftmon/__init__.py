@@ -57,7 +57,6 @@ from .monitor import (
     new_state,
     observe,
     pelt,
-    row_moments,
 )
 from .pipeline import RunConfig, compare_policies, comparison_table, config_from_dict, load_config, run
 from .simulate import NullStudyConfig, RegimeScenario, gen_regime_streams, run_null_study

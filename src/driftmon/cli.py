@@ -1,11 +1,12 @@
 """Command-line surface: run pipelines, size studies, data generation, reports.
 
 Exit codes: 0 success, 2 configuration or usage error (a path that does
-not exist included), 1 runtime error. Outputs are flat CSV/JSON. The run log,
-report.csv, the panel CSV and the null-study CSV start with a
-config-hash-and-seed stamp so re-runs are verifiable; wall-clock timing
-columns are the only exception to byte-identical reproduction, and
-``report`` rebuilds a run's report files byte for byte from its run log.
+not exist or is of the wrong kind included), 1 runtime error. Outputs are
+flat CSV/JSON. The run log, report.csv, the panel CSV and the null-study CSV
+start with a config-hash-and-seed stamp so re-runs are verifiable;
+wall-clock timing columns are the only exception to byte-identical
+reproduction, and ``report`` rebuilds a run's report files byte for byte
+from its run log.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _cmd_null_study(args) -> int:
     with config_errors("null_study"):  # flags left out keep the dataclass defaults
         config = NullStudyConfig(**{f.name: getattr(args, f.name) for f in fields(NullStudyConfig)
                                     if getattr(args, f.name, None) is not None})
-    freq = run_null_study(config, threads=args.threads)
+    freq = run_null_study(config)
     print(f"rejection_frequency={freq:.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -131,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--alpha")
     p_null.add_argument("--reps", dest="n_replications")
     p_null.add_argument("--seed")
-    p_null.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: one process steps all replications")
     p_null.add_argument("--out", default=None, help="directory for the study CSV")
     p_null.set_defaults(func=_cmd_null_study)
 
@@ -157,7 +156,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:  # a path that does not exist is a usage error
+    # a path that does not exist, or is a file where a directory belongs or
+    # the other way round, is a usage error
+    except (ConfigError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DriftmonError as exc:

@@ -57,16 +57,6 @@ class FeatureSpec:
     def n_hour_levels(self) -> int:
         return self.slots_per_day // TICKS_PER_HOUR
 
-    def n_columns(self, n_streams: int) -> int:
-        p = len(self.lags) * n_streams
-        if self.include_trend:
-            p += 1
-        if self.include_dow_dummies:
-            p += self.days_per_week - 1
-        if self.include_hour_dummies:
-            p += self.n_hour_levels - 1
-        return p
-
     def column_names(self, stream_ids: tuple[str, ...]) -> list[str]:
         names = [f"lag{j}_{sid}" for j in self.lags for sid in stream_ids]
         if self.include_trend:
@@ -95,14 +85,6 @@ class DesignMatrix:
             raise ValueError("column_names length must match X columns")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ValueError("design matrix entries must be finite")
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.X.shape[1]
 
 
 def feature_matrix(stream_set: StreamSet, spec: FeatureSpec,

@@ -26,17 +26,15 @@ end. One MonitorState per stream; steps within a stream are strictly sequential.
 
 A step's input is a loss batch or its BatchMoments (size, mean, ddof=1
 variance and sum of squared deviations). The moments of a batch are computed
-once and shared by the Welch test and the reference update; ``row_moments``
-computes those of a whole block of batches in one call, with the same numpy
-expressions, so the results are identical either way.
+once and shared by the Welch test and the reference update;
+``moment_arrays`` computes those of a whole block of batches in one call,
+with the same numpy expressions, so the results are identical either way.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -94,21 +92,6 @@ def batch_moments(losses) -> BatchMoments:
         return BatchMoments(x, n, mean, math.nan, 0.0)
     mean, var, m2 = moment_arrays(x)
     return BatchMoments(x, n, float(mean), float(var), float(m2))
-
-
-def row_moments(block) -> Iterator[BatchMoments]:
-    """Moments of each row of a (batches, batch_size) block, in one call per moment.
-
-    Each row's moments equal ``batch_moments(row)`` exactly: numpy reduces
-    every row of a contiguous block the way it reduces a lone batch. The
-    BatchMoments are made lazily, one row at a time.
-    """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[1] < 2:
-        raise InsufficientSample(
-            f"need a 2-D block with >= 2 losses per row, got shape {block.shape}")
-    means, variances, m2s = (map(float, a) for a in moment_arrays(block))
-    return map(BatchMoments, block, repeat(block.shape[1]), means, variances, m2s)
 
 
 def merged_moments(n, mean, m2, b_n, b_mean, b_m2):

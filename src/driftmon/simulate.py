@@ -187,7 +187,7 @@ def _group_counts(config: NullStudyConfig, replications: range) -> tuple[np.ndar
 def run_null_study(config: NullStudyConfig, threads: int = 1) -> float:
     """Empirical rejection frequency of the monitor under a stable stream.
 
-    ``threads`` is accepted, so that existing commands still run, and
+    ``threads`` is accepted, so that existing callers still run, and
     ignored: one process steps all replications together, which took less
     time than a process pool did.
     """

@@ -148,12 +148,6 @@ def student_t_two_sided_p(t: float, dof: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def student_t_cdf(t: float, dof: float) -> float:
-    """P(T_dof <= t)."""
-    half_p = 0.5 * student_t_two_sided_p(t, dof)
-    return 1.0 - half_p if t >= 0.0 else half_p
-
-
 # ---------------------------------------------------------------------------
 # Welch two-sample test
 # ---------------------------------------------------------------------------

@@ -266,11 +266,32 @@ def test_gen_data_negative_seed_override_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_null_study_threads_below_one_exits_2(tmp_path, capsys):
+# F is a regular file and D a directory: each path has the wrong kind
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}", "--out", "{F}"],
+    ["null-study", "--length", "200", "--batch", "20", "--reps", "2", "--out", "{F}"],
+    ["run", "--config", "{config}", "--out", "{F}/sub"],
+    ["gen-data", "--scenario", "{scenario}", "--out", "{F}/x.csv"],
+    ["report", "--runlog", "{F}"],
+    ["run", "--config", "{D}"],
+    ["gen-data", "--scenario", "{D}", "--out", "{D}/x.csv"],
+    ["gen-data", "--scenario", "{scenario}", "--out", "{D}"],
+], ids=["run-out-file", "null-study-out-file", "run-out-under-file", "gen-data-out-under-file",
+        "report-runlog-file", "run-config-dir", "gen-data-scenario-dir", "gen-data-out-dir"])
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
+    paths = {"config": write_config(tmp_path), "scenario": write_scenario(tmp_path),
+             "F": str(tmp_path / "file"), "D": str(tmp_path / "dir")}
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "dir").mkdir()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_null_study_threads_flag_exits_2(tmp_path, capsys):
     code = main(["null-study", "--length", "200", "--batch", "20", "--reps", "2",
-                 "--threads", "0", "--out", str(tmp_path)])
+                 "--threads", "2", "--out", str(tmp_path)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: config field 'threads'")
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "null_study.csv").exists()
 
 

@@ -19,8 +19,9 @@ def panel(values, B=60):
 
 def test_column_count_matches_platform_arithmetic():
     # 2 lags x D streams + trend + 6 dow + 14 hour dummies
-    assert FULL_SPEC.n_columns(2) == 2 * 2 + 1 + 6 + 14 == 25
-    assert FULL_SPEC.n_columns(32) == 32 * 2 + 1 + 6 + 14 == 85  # 86 params with intercept
+    ids = tuple(f"s{i + 1}" for i in range(32))
+    assert len(FULL_SPEC.column_names(ids[:2])) == 2 * 2 + 1 + 6 + 14 == 25
+    assert len(FULL_SPEC.column_names(ids)) == 32 * 2 + 1 + 6 + 14 == 85  # 86 params with intercept
 
 
 def test_column_names_order():
@@ -83,10 +84,10 @@ def test_training_set_lag_trim_and_cap():
     T = 200 * 60
     streams = panel(np.random.default_rng(1).normal(size=T), B=60)
     data = training_set(streams, spec, 0, window_end=T, window_days=180)
-    assert data.n_rows == 180 * 60  # window clear of the lag trim
-    assert data.n_rows <= 10_800
+    assert data.X.shape[0] == 180 * 60  # window clear of the lag trim
+    assert data.X.shape[0] <= 10_800
     early = training_set(streams, spec, 0, window_end=480, window_days=8)
-    assert early.n_rows == 60  # ticks 421..480 survive the trim
+    assert early.X.shape[0] == 60  # ticks 421..480 survive the trim
 
 
 def test_training_set_empty_window_raises():

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from driftmon import monitor
 from driftmon.errors import InsufficientSample
 from driftmon.monitor import (
+    BatchMoments,
     EveryKBatches,
     MeanTestPolicy,
     NeverPolicy,
@@ -19,8 +20,8 @@ from driftmon.monitor import (
     batch_moments,
     new_state,
     observe,
+    moment_arrays,
     pelt,
-    row_moments,
 )
 from driftmon.stats import Segment
 from oracles import enumerate_segmentations, optimal_partition
@@ -74,16 +75,15 @@ def test_uncapped_reference_keeps_no_chunks():
 @settings(max_examples=60, deadline=None)
 @given(block=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(2, 80)),
                     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
-def test_row_moments_equal_per_row_numpy_exactly(block):
-    rows = list(row_moments(block))
-    assert len(rows) == block.shape[0]
-    for x, m in zip(block, rows):
+def test_moment_arrays_equal_per_row_numpy_exactly(block):
+    means, variances, m2s = moment_arrays(block)
+    assert means.shape == variances.shape == m2s.shape == (block.shape[0],)
+    for x, mean, var, m2 in zip(block, means, variances, m2s):
         n = x.size
-        assert m.n == n
-        assert m.mean == x.mean()
-        assert m.var == x.var(ddof=1)
-        assert m.m2 == float(x.var()) * n
-        assert batch_moments(x)[1:] == m[1:]
+        assert mean == x.mean()
+        assert var == x.var(ddof=1)
+        assert m2 == float(x.var()) * n
+        assert batch_moments(x)[2:] == (mean, var, m2)
 
 
 def test_batch_moments_of_short_batches():
@@ -92,8 +92,6 @@ def test_batch_moments_of_short_batches():
     one = batch_moments([3.0])
     assert (one.n, one.mean, one.m2) == (1, 3.0, 0.0)
     assert math.isnan(one.var)
-    with pytest.raises(InsufficientSample):
-        row_moments(np.ones((4, 1)))
 
 
 def test_mean_test_on_moments_matches_raw_batches():
@@ -101,7 +99,9 @@ def test_mean_test_on_moments_matches_raw_batches():
     batches = [rng.normal(0.0, 1.0 + (i % 3), 12) for i in range(40)]
     raw = new_state(MeanTestPolicy(alpha=0.2))
     pre = new_state(MeanTestPolicy(alpha=0.2))
-    for batch, moments in zip(batches, row_moments(np.array(batches))):
+    block = np.array(batches)
+    for batch, *moments in zip(block, *moment_arrays(block)):
+        moments = BatchMoments(batch, block.shape[1], *map(float, moments))
         assert observe(raw, batch) == observe(pre, moments)
     assert (raw.reference.n, raw.reference.mean, raw.reference.variance()) == \
         (pre.reference.n, pre.reference.mean, pre.reference.variance())

@@ -39,7 +39,7 @@ def test_policy_comparison_does_not_depend_on_thread_count(tmp_path):
 
 def run_size_study_grid(out: Path, alpha: str) -> list[str]:
     run_script("size_study_grid.py", "--reps", "2", "--lengths", "200", "--batches", "20",
-               "--alphas", alpha, "--threads", "1", "--out", str(out))
+               "--alphas", alpha, "--out", str(out))
     return out.read_text(encoding="utf-8").splitlines()
 
 

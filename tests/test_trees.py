@@ -64,7 +64,7 @@ def ones(n):
 
 def test_fully_grown_tree_memorizes_distinct_rows():
     data = rand_design(0, n=50)
-    hp = HyperParams(forest=ForestParams(n_trees=1, mtry=data.n_columns,
+    hp = HyperParams(forest=ForestParams(n_trees=1, mtry=data.X.shape[1],
                                          min_node_size=1, bootstrap=False))
     model = fit_forest(data, hp, seed=0)
     assert np.allclose(predict_matrix(model, data.X), data.y, atol=1e-12)
@@ -185,7 +185,7 @@ def test_tree_grown_alone_equals_tree_grown_after_others():
 
 def test_ensemble_walk_equals_per_tree_sum_in_order():
     data = rand_design(21, n=100)
-    X = np.random.default_rng(22).normal(size=(37, data.n_columns))
+    X = np.random.default_rng(22).normal(size=(37, data.X.shape[1]))
     forest = fit_forest(data, HyperParams(forest=ForestParams(n_trees=23, min_node_size=2)),
                         seed=3)
     boosting = fit_boosting(data, HyperParams(boosting=BoostingParams(n_rounds=15)), seed=3)
@@ -279,7 +279,7 @@ def test_boosting_training_rmse_monotone():
     data = rand_design(9, n=120)
     hp = HyperParams(boosting=BoostingParams(n_rounds=25, max_depth=3))
     model = fit_boosting(data, hp, seed=3)
-    current = np.full(data.n_rows, model.payload.base)
+    current = np.full(data.X.shape[0], model.payload.base)
     prev_rmse = np.sqrt(np.mean((data.y - current) ** 2))
     for flat in model.payload.flats:
         current += flat.predict(data.X)
@@ -316,11 +316,11 @@ def test_predict_shape_errors():
     data = rand_design(12)
     model = fit_forest(data, HyperParams(forest=ForestParams(n_trees=2, min_node_size=5)), seed=0)
     with pytest.raises(ShapeError):
-        predict_matrix(model, np.zeros(data.n_columns))  # a lone vector, not a row block
+        predict_matrix(model, np.zeros(data.X.shape[1]))  # a lone vector, not a row block
     with pytest.raises(ShapeError):
-        predict_matrix(model, np.zeros((1, data.n_columns + 1)))
+        predict_matrix(model, np.zeros((1, data.X.shape[1] + 1)))
     with pytest.raises(ShapeError):
-        predict_matrix(model, np.zeros((4, data.n_columns - 1)))
+        predict_matrix(model, np.zeros((4, data.X.shape[1] - 1)))
 
 
 def test_model_dump_mentions_structure():
