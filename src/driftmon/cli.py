@@ -12,6 +12,7 @@ from its run log.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields
@@ -31,11 +32,22 @@ def _write_report_files(report, out_dir: str, stamp: str) -> None:
     write_report_json(report, os.path.join(out_dir, "report.json"))
 
 
+def _check_out_dir(out_dir: str) -> str:
+    """``out_dir``, or the error ``os.makedirs`` would raise for it; makes nothing."""
+    target = path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):  # OSError picks FileExistsError or NotADirectoryError
+        code = errno.EEXIST if path == target else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
+    out_dir = _check_out_dir(args.out or config.out_dir or "driftmon_out")
     log = run(config)
     report = build_report(log)
-    out_dir = args.out or config.out_dir or "driftmon_out"
     write_runlog(log, out_dir)
     _write_report_files(report, out_dir, log.stamp)
     for s in report.streams:
@@ -47,9 +59,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     configs = [load_config(path) for path in args.configs]
+    out_dir = _check_out_dir(args.out or "driftmon_out")
     runs = compare_policies(configs)
     rows = comparison_table(runs)
-    out_dir = args.out or "driftmon_out"
     os.makedirs(out_dir, exist_ok=True)
     labels = [cr.label for cr in runs]
     write_table(os.path.join(out_dir, "comparison.csv"), ["stream_id"] + labels,
@@ -72,6 +84,8 @@ def _cmd_null_study(args) -> int:
     with config_errors("null_study"):  # flags left out keep the dataclass defaults
         config = NullStudyConfig(**{f.name: getattr(args, f.name) for f in fields(NullStudyConfig)
                                     if getattr(args, f.name, None) is not None})
+    if args.out:
+        _check_out_dir(args.out)
     freq = run_null_study(config)
     print(f"rejection_frequency={freq:.4f}")
     if args.out:

@@ -4,7 +4,8 @@ The two-sample test is the unequal-variance (Welch) t-test with the
 Welch-Satterthwaite degrees of freedom and a two-sided p-value. The t
 distribution's tail probability is computed here via the regularized
 incomplete beta function (continued fraction, double precision) so the
-runtime needs no external numerics library.
+runtime needs no external numerics library. For x = dof / (dof + t*t) it
+reads 1 - x as t*t / (dof + t*t), so no small t rounds away.
 
 A degenerate branch handles the zero-variance corner that squared-error
 losses of a perfect forecaster can produce: when both sample variances fall
@@ -15,10 +16,10 @@ a power of two leaves the decision unchanged. Moments far from 1 are first
 divided by a power of two, which is exact and leaves the statistic as it
 is, so that no square in the test under- or overflows. ``welch_p_values``
 runs many such tests at once; each p-value equals the scalar test's bit
-for bit. ``welch_rejections`` gives only the decisions, the same ones: most
-tests are decided from |t| alone, below a normal and above a Student-t
-critical bound that hold for every Welch dof, and only the tests between
-the bounds get a p-value.
+for bit. ``welch_rejections`` gives only the decisions, the same ones, at
+every alpha: most tests are decided from |t| alone, below a normal and
+above a Student-t critical bound that hold for every Welch dof, and only
+the tests between the bounds get a p-value.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
@@ -123,28 +124,30 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
+    return _incomplete_beta(a, b, x, 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for a, b > 0; the symmetric form reads y = 1 - x, not a rounded 1.0 - x."""
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
+    ln_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     # Switch to the symmetric form where the continued fraction converges fast.
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _beta_continued_fraction(b, a, 1.0 - x) / b
+        front = math.exp(ln_beta + a * math.log(x) + b * math.log1p(-x))
+        return front * _beta_continued_fraction(a, b, x) / a
+    front = math.exp(ln_beta + a * math.log1p(-y) + b * math.log(y))
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 def student_t_two_sided_p(t: float, dof: float) -> float:
     """P(|T_dof| >= |t|) for the Student t distribution."""
     if dof <= 0.0:
         raise ValueError("dof must be positive")
-    if t == 0.0:
-        return 1.0
-    if math.isinf(t):
-        return 0.0
-    x = dof / (dof + t * t)
-    p = regularized_incomplete_beta(0.5 * dof, 0.5, x)
+    u = t * t  # 1 - x as u / (dof + u) keeps a t that dof + u rounds away
+    p = _incomplete_beta(0.5 * dof, 0.5, dof / (dof + u), u / (dof + u))
     return min(max(p, 0.0), 1.0)
 
 
@@ -236,9 +239,6 @@ def welch_p_values(n1, mean1, var1, n2, mean2, var2) -> np.ndarray:
 # A screen decides a test from t alone only where the bound's p-value is off
 # alpha by this relative margin, far above a computed p-value's rounding error.
 _SCREEN_MARGIN = 1e-6
-# Above this alpha the bounds are small t, where rounding dof + t * t in the
-# p-value moves it by more than the margin at large dof; no test is screened.
-_SCREEN_MAX_ALPHA = 0.5
 # Below this, p-values near a bound may be subnormal and lose their relative
 # precision: the accept bound stops at it, and no reject bound lies under it.
 _SCREEN_P_FLOOR = 1e-280
@@ -273,21 +273,19 @@ def welch_rejections(n1, mean1, var1, n2, mean2, var2, alpha: float) -> np.ndarr
       <= (se1 + se2)**2 / f. And P(|T_dof| >= t) falls as dof grows: chi2_dof / dof
       keeps its mean 1 and shrinks in the convex order as dof grows (gamma
       laws of one mean, ordered by shape), and g above is convex.
-    - The margin of 1e-6 covers the computed p-value's rounding error, and
-      a Welch dof that rounds a few ulps below nu. That error stays below
-      1e-7 where tests are screened: alpha is at most 0.5, so both bounds
-      are at least 0.67 and rounding dof + t * t moves the p-value little; a
+    - The margin of 1e-6 covers the computed p-value's error, and a Welch
+      dof that rounds a few ulps below nu. That error stays below 1e-7 at
+      every alpha: x and 1 - x of the t tail are each formed to a few ulps
+      at any t, which moves the p-value by dof / 2 times that at most; a
       test has at most 2**24 values, so math.lgamma's error stays small;
       and no bound's p-value lies below 1e-280, far from the subnormals.
 
-    Every other test takes the exact path: all of them above alpha 0.5, and
-    otherwise those with degenerate moments, with moments whose size lies
-    outside (1e-100, 1e100), with more than 2**24 values, or with |t| in
-    [z, t_hi]. Up to 32 go through the scalar test, more through
-    ``welch_p_values``. The bounds are computed once per (alpha, nu).
+    Every other test takes the exact path: those with degenerate moments,
+    with moments whose size lies outside (1e-100, 1e100), with more than
+    2**24 values, or with |t| in [z, t_hi]. Up to 32 go through the scalar
+    test, more through ``welch_p_values``. The bounds are computed once per
+    (alpha, nu).
     """
-    if not alpha <= _SCREEN_MAX_ALPHA:
-        return welch_p_values(n1, mean1, var1, n2, mean2, var2) < alpha
     n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
     n1, n2 = n1.ravel(), n2.ravel()
     if not n1.size:
@@ -322,19 +320,14 @@ def welch_rejections(n1, mean1, var1, n2, mean2, var2, alpha: float) -> np.ndarr
 def _screen_bounds(alpha: float, nu: int) -> tuple[float, float]:
     """(z, t_hi) of ``welch_rejections``: accept |t| < z, reject |t| > t_hi.
 
-    t_hi = inf means no reject screen; z = 0, no accept screen, only comes
-    of an alpha near 1, which ``welch_rejections`` does not screen.
+    t_hi = inf means no reject screen, and z = 0 no accept screen, which
+    comes of an alpha within about 1e-6 of 1 or above it.
     """
-    target = max(alpha, _SCREEN_P_FLOOR) * (1.0 + _SCREEN_MARGIN)
-    lo, hi = 0.0, 40.0  # erfc(40 / sqrt(2)) rounds to 0, below any target
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) >= target:
-            lo = mid
-        else:
-            hi = mid
-    target = alpha * (1.0 - _SCREEN_MARGIN)
-    return lo, _t_bound(target, float(nu)) if target >= _SCREEN_P_FLOOR else math.inf
+    accept = max(alpha, _SCREEN_P_FLOOR) * (1.0 + _SCREEN_MARGIN)
+    # erfc(40 / sqrt(2)) rounds to 0, below any target
+    z, _ = _bisect(lambda s: math.erfc(s / math.sqrt(2.0)) >= accept, 0.0, 40.0)
+    reject = alpha * (1.0 - _SCREEN_MARGIN)
+    return z, _t_bound(reject, float(nu)) if reject >= _SCREEN_P_FLOOR else math.inf
 
 
 def _t_bound(target: float, dof: float) -> float:
@@ -345,14 +338,20 @@ def _t_bound(target: float, dof: float) -> float:
         if hi >= _SCREEN_MAX_T:
             return math.inf
         lo, hi = hi, 2.0 * hi
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if student_t_two_sided_p(mid, dof) <= target:
-            hi = mid
-        else:
-            lo = mid
+    _, hi = _bisect(lambda s: not student_t_two_sided_p(s, dof) <= target, lo, hi)
     # the bisection keeps the inequality at hi; check it once more all the same
     return hi if student_t_two_sided_p(hi, dof) <= target else math.inf
+
+
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] narrowed to 1e-12 * hi, moving lo to each midpoint ``below`` holds at."""
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:
@@ -366,26 +365,25 @@ def _square(v: float) -> float:
 
 def _student_t_two_sided_ps(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
     """``student_t_two_sided_p`` of each (t, dof) pair, bit for bit; every dof > 0."""
-    p = np.where(t == 0.0, 1.0, 0.0)  # an infinite t leaves 0
-    tail = (t != 0.0) & ~np.isinf(t)
-    t, dof = t[tail], dof[tail]
-    x = dof / (dof + t * t)
-    p[tail] = np.minimum(np.maximum(_regularized_incomplete_betas(0.5 * dof, 0.5, x), 0.0), 1.0)
-    return p
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite t * t: x 0, y nan
+        u = t * t
+        x, y = dof / (dof + u), u / (dof + u)
+    return np.minimum(np.maximum(_incomplete_betas(0.5 * dof, 0.5, x, y), 0.0), 1.0)
 
 
-def _regularized_incomplete_betas(a: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    """``regularized_incomplete_beta(a[i], b, x[i])`` for each i, bit for bit; every a > 0."""
-    out = np.where(x <= 0.0, 0.0, 1.0)  # x >= 1 leaves 1
-    inner = (0.0 < x) & (x < 1.0)
-    a, x = a[inner], x[inner]
-    ln_front = (_each(math.lgamma, a + b) - _each(math.lgamma, a) - math.lgamma(b)
-                + a * _each(math.log, x) + b * _each(math.log1p, -x))
-    front = _each(math.exp, ln_front)
-    # the symmetric form where the continued fraction converges fast
+def _incomplete_betas(a: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_incomplete_beta(a[i], b, x[i], y[i])`` for each i, bit for bit."""
+    out = np.where(x <= 0.0, 0.0, 1.0)  # y <= 0 leaves 1
+    inner = (0.0 < x) & (0.0 < y)
+    a, x, y = a[inner], x[inner], y[inner]
+    # the symmetric form where the continued fraction converges fast, in y
     lower = x < (a + 1.0) / (a + b + 2.0)
-    cf = _beta_continued_fractions(np.where(lower, a, b), np.where(lower, b, a),
-                                   np.where(lower, x, 1.0 - x))
+    s = np.where(lower, x, y)
+    log_s, log1m_s = _each(math.log, s), _each(math.log1p, -s)
+    ln_front = (_each(math.lgamma, a + b) - _each(math.lgamma, a) - math.lgamma(b)
+                + a * np.where(lower, log_s, log1m_s) + b * np.where(lower, log1m_s, log_s))
+    front = _each(math.exp, ln_front)
+    cf = _beta_continued_fractions(np.where(lower, a, b), np.where(lower, b, a), s)
     out[inner] = np.where(lower, front * cf / a, 1.0 - front * cf / b)
     return out
 

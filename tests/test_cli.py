@@ -58,8 +58,8 @@ def test_bad_flags_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_runtime_error_exits_1(tmp_path, capsys):
-    # valid config, but a cell of its CSV panel is missing: runtime error
+def write_gap_config(tmp_path):
+    """A config that passes validation, on a CSV panel that lacks a cell: its run fails."""
     panel = tmp_path / "panel.csv"
     assert main(["gen-data", "--scenario", write_scenario(tmp_path), "--out", str(panel)]) == 0
     lines = panel.read_text().splitlines()
@@ -67,7 +67,12 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     config = tmp_path / "gap.json"
     config.write_text(json.dumps({"data_csv": str(panel), "forecaster": "naive",
                                   "window_days": 8}))
-    assert main(["run", "--config", str(config)]) == 1
+    return str(config)
+
+
+def test_runtime_error_exits_1(tmp_path, capsys):
+    # valid config, but a cell of its CSV panel is missing: runtime error
+    assert main(["run", "--config", write_gap_config(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
 
 
@@ -285,6 +290,25 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
     (tmp_path / "dir").mkdir()
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# each --out is checked before any work: a run that would fail, and the
+# configs of a compare that would fail, never start
+@pytest.mark.parametrize("argv", [
+    ["null-study", "--length", "200", "--batch", "20", "--reps", "2", "--out", "{F}"],
+    ["run", "--config", "{gap}", "--out", "{F}"],
+    ["run", "--config", "{gap}", "--out", "{F}/sub"],
+    ["compare", "--configs", "{gap}", "--out", "{F}"],
+], ids=["null-study", "run", "run-under-file", "compare"])
+def test_out_of_the_wrong_kind_exits_2_before_any_work(tmp_path, capsys, argv):
+    paths = {"gap": write_gap_config(tmp_path), "F": str(tmp_path / "file")}
+    (tmp_path / "file").write_text("not a directory\n")
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_null_study_threads_flag_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from driftmon.stats import (
     _beta_continued_fraction,
     _beta_continued_fractions,
     _screen_bounds,
+    _student_t_two_sided_ps,
     _t_bound,
     bic,
     gaussian_segment_cost,
@@ -220,6 +221,45 @@ def test_reject_bound_search_at_the_ends_of_the_alpha_range():
     t = _t_bound(1.0 - 1e-6, 1.0)
     assert student_t_two_sided_p(t, 1.0) <= 1.0 - 1e-6 < student_t_two_sided_p(0.999 * t, 1.0)
     assert _t_bound(1e-300, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.9, 0.999, 1.0])
+@pytest.mark.parametrize("n2", [500, 5_000, 100_000])
+def test_welch_rejections_equal_the_scalar_test_near_the_bounds_of_large_alphas(alpha, n2):
+    # the bounds of a large alpha are small t, where a p-value taken from a
+    # rounded 1 - dof / (dof + t*t) would miss the screen's margin at large
+    # dof. The batch's variance is 1, so the Welch dof runs from about
+    # n2 - 1 = nu up to n1 + n2 - 2.
+    rng = np.random.default_rng(n2)
+    k = 400
+    n1 = rng.integers(n2, 10 * n2, k, endpoint=True)
+    z, t_hi = _screen_bounds(alpha, n2 - 1)
+    bounds = [b for b in (z, t_hi) if b > 0.0]
+    rel = rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3], k)
+    t = rng.choice(bounds, k) * (1.0 + rng.choice([-1.0, 1.0], k) * rel)
+    var1, var2 = 10.0 ** rng.uniform(-3, 1, k), np.ones(k)
+    mean2 = rng.choice([-1.0, 1.0], k) * t * np.sqrt(var1 / n1 + var2 / n2)
+    moments = (n1, np.zeros(k), var1, np.full(k, n2), mean2, var2)
+    expected = [welch_test_from_moments(*m, alpha).reject
+                for m in zip(*(v.tolist() for v in moments))]
+    assert welch_rejections(*moments, alpha).tolist() == expected
+
+
+@pytest.mark.parametrize("t, dof", [(1e-5, 8388608.0), (3e-5, 8388608.0), (1e-5, 1e6)])
+def test_t_tail_at_small_t_and_large_dof_against_scipy(t, dof):
+    # dof + t*t rounds to dof here, so 1 - dof / (dof + t*t) would give p = 1
+    expected = 2 * scipy_stats.t.sf(t, dof)
+    assert student_t_two_sided_p(t, dof) == pytest.approx(expected, rel=1e-12)
+    assert _student_t_two_sided_ps(np.array([t]), np.array([dof])).tolist() == \
+        [student_t_two_sided_p(t, dof)]
+
+
+def test_t_tail_at_zero_and_infinite_t():
+    ts = [0.0, -0.0, math.inf, -math.inf]
+    for dof in (0.5, 1.0, 49.0, 1e6):
+        assert [student_t_two_sided_p(t, dof) for t in ts] == [1.0, 1.0, 0.0, 0.0]
+        assert _student_t_two_sided_ps(np.array(ts), np.full(4, dof)).tolist() == \
+            [1.0, 1.0, 0.0, 0.0]
 
 
 def test_t_tail_lies_above_the_normal_tail_and_falls_with_dof():
