@@ -9,8 +9,12 @@ config says, so no loss batch reaches past its decision point. The final
 batch is scored for accuracy but carries no decision: no forecast follows it.
 
 Every run is a pure function of (config, seed): model seeds derive from
-(seed, stream, fit count), so logs reproduce bit-identically, wall-clock
-timings aside.
+(seed, stream, fit tick), so logs reproduce bit-identically, wall-clock
+timings aside. Compared runs are stepped together through the same batch
+ends: policies that refit a stream at the same tick get the same model,
+their common random numbers, which is fit once and shared. A compared run's
+log therefore equals its solo run's, and any accuracy gap between policies
+comes only from when they refit.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from .forecasters import (
     fit_naive,
     predict_matrix,
 )
-from .monitor import (POLICIES, MeanTestPolicy, MonitorDecision, MonitorState, Policy,
-                      new_state, observe)
+from .monitor import POLICIES, MeanTestPolicy, MonitorDecision, Policy, new_state, observe
 from .schema import bounded, check_fields, config_errors, document_hash, parse_field, read_json
 from .simulate import RegimeScenario, gen_regime_streams
 from .streams import StreamSet, batch_ends, ingest_csv
@@ -189,18 +192,18 @@ def materialize(config: RunConfig) -> StreamSet:
     return ingest_csv(config.source, slots_per_batch=config.slots_per_batch)
 
 
-def _fit_seed(master_seed: int, stream_index: int, fit_count: int) -> int:
-    return int(np.random.SeedSequence((master_seed, stream_index, fit_count)).generate_state(1)[0])
+def _fit_seed(master_seed: int, stream_index: int, trained_at: int) -> int:
+    return int(np.random.SeedSequence((master_seed, stream_index, trained_at)).generate_state(1)[0])
 
 
-def _fit_model(config: RunConfig, data: DesignMatrix | None, stream_id: str,
-               stream_index: int, fit_count: int, trained_at: int) -> ForecastModel:
+def _fit_model(config: RunConfig, data: DesignMatrix, stream_id: str,
+               stream_index: int, trained_at: int) -> ForecastModel:
     kind = config.forecaster
     if kind == "naive":
         return fit_naive(config.naive_lag, horizon=config.horizon,
                          feature_names=data.column_names, target_stream=stream_id,
                          trained_at=trained_at)
-    seed = _fit_seed(config.seed, stream_index, fit_count)
+    seed = _fit_seed(config.seed, stream_index, trained_at)
     if kind == "lasso":
         return fit_lasso(data, config.hyperparams, trained_at=trained_at)
     if kind == "forest":
@@ -269,54 +272,79 @@ def run(config: RunConfig, stream_set: StreamSet | None = None) -> RunLog:
     first fit.
     """
     streams = stream_set if stream_set is not None else materialize(config)
-    ends = _forecast_origins(config, streams)
-    spec = config.feature_spec
-    Q = config.horizon
+    return _step_runs([config], streams)[0]
 
-    log = RunLog(stream_ids=streams.stream_ids, horizon=Q,
-                 policy_name=config.policy.name, forecaster=config.forecaster,
-                 seed=config.seed, config_hash=config.config_hash())
-    if isinstance(config.source, RegimeScenario):
-        log.meta["shift_batches"] = _shift_batches(config.source, streams.stream_ids,
-                                                   ends, Q)
 
+def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
+    """Step every config through the same batch ends; one log per config.
+
+    The configs agree on everything that shapes the data, the batch ends and
+    the seed (``compare_policies`` checks that). A fit is a pure function of
+    (forecaster, hyperparameters, naive lag, stream, tick), so configs that
+    refit a stream at one batch end with the same model share one fit, and
+    each records its measured seconds. The fits of a batch end are dropped
+    after it. Every config is checked against the panel before the first fit.
+    """
+    # every config is checked; they share the panel geometry, so the origins too
+    ends = [_forecast_origins(config, streams) for config in configs][0]
+    first = configs[0]
+    spec, Q, window = first.feature_spec, first.horizon, first.window_days
     n_streams = streams.n_streams
-    fit_counts = [0] * n_streams
-    models: list[ForecastModel] = [None] * n_streams  # type: ignore[list-item]
-    tokens = [""] * n_streams
-    states: list[MonitorState] = [new_state(config.policy) for _ in range(n_streams)]
+    logs = []
+    for config in configs:
+        log = RunLog(stream_ids=streams.stream_ids, horizon=Q,
+                     policy_name=config.policy.name, forecaster=config.forecaster,
+                     seed=config.seed, config_hash=config.config_hash())
+        if isinstance(config.source, RegimeScenario):
+            log.meta["shift_batches"] = _shift_batches(config.source, streams.stream_ids,
+                                                       ends, Q)
+        logs.append(log)
+    fit_counts = [[0] * n_streams for _ in configs]
+    models: list[list[ForecastModel | None]] = [[None] * n_streams for _ in configs]
+    tokens = [[""] * n_streams for _ in configs]
+    states = [[new_state(config.policy) for _ in range(n_streams)] for config in configs]
 
-    def refit(i: int, at_tick: int) -> float:
-        start = time.perf_counter()
-        data = training_set(streams, spec, i, at_tick, config.window_days)
-        models[i] = _fit_model(config, data, streams.stream_ids[i], i, fit_counts[i], at_tick)
-        tokens[i] = f"{config.forecaster}@{at_tick}#{fit_counts[i]}"
-        fit_counts[i] += 1
-        return time.perf_counter() - start
+    def refit(fits: dict, k: int, i: int, at_tick: int) -> float:
+        config = configs[k]
+        key = (config.forecaster, config.hyperparams, config.naive_lag, i)
+        if key not in fits:
+            start = time.perf_counter()
+            data = training_set(streams, spec, i, at_tick, window)
+            model = _fit_model(config, data, streams.stream_ids[i], i, at_tick)
+            fits[key] = (model, time.perf_counter() - start)
+        models[k][i], seconds = fits[key]
+        tokens[k][i] = f"{config.forecaster}@{at_tick}#{fit_counts[k][i]}"
+        fit_counts[k][i] += 1
+        return seconds
 
-    for i in range(n_streams):
-        refit(i, ends[0])
+    fits: dict = {}
+    for k in range(len(configs)):
+        for i in range(n_streams):
+            refit(fits, k, i, ends[0])
     # Batch idx is forecast at its origin and scored on the Q ticks after it;
     # a retrain refits at the next origin. The last batch is not decided on.
     for idx, origin in enumerate(ends, start=1):
         final = idx == len(ends)
         F = feature_matrix(streams, spec, np.arange(origin + 1, origin + Q + 1))
         actual_rows = streams.values[origin:origin + Q, :]  # ticks origin+1..origin+Q
-        for i in range(n_streams):
-            forecasts, actuals = predict_matrix(models[i], F), actual_rows[:, i]
-            losses = squared_loss_batch(actuals, forecasts)
-            made_by = tokens[i]
-            decision = _NO_DECISION if final else observe(states[i], losses)
-            seconds = refit(i, ends[idx]) if decision.retrain else 0.0
-            log.append(BatchRecord(
-                stream_id=streams.stream_ids[i], batch_index=idx,
-                batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
-                decision="final" if final else config.policy.label(decision),
-                p_value=decision.test.p_value if decision.test else None,
-                statistic=decision.test.statistic if decision.test else None,
-                model_token=made_by, retrain_seconds=seconds,
-            ))
-    return log
+        fits = {}
+        for k, config in enumerate(configs):
+            log, state_k, model_k, token_k = logs[k], states[k], models[k], tokens[k]
+            for i in range(n_streams):
+                forecasts, actuals = predict_matrix(model_k[i], F), actual_rows[:, i]
+                losses = squared_loss_batch(actuals, forecasts)
+                made_by = token_k[i]
+                decision = _NO_DECISION if final else observe(state_k[i], losses)
+                seconds = refit(fits, k, i, ends[idx]) if decision.retrain else 0.0
+                log.append(BatchRecord(
+                    stream_id=streams.stream_ids[i], batch_index=idx,
+                    batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
+                    decision="final" if final else config.policy.label(decision),
+                    p_value=decision.test.p_value if decision.test else None,
+                    statistic=decision.test.statistic if decision.test else None,
+                    model_token=made_by, retrain_seconds=seconds,
+                ))
+    return logs
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +367,9 @@ def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:
 
     Configs must agree on the data source and everything that shapes it;
     only the forecaster, hyperparameters and updating policy may differ.
+    They are stepped together (``_step_runs``), so a fit several of them
+    need at one batch end is made once, and each log equals the config's
+    solo ``run`` but for the shared fit's wall time.
     Runs are keyed by ``run_label``, which names the forecaster and the
     policy alone, so two different configs may not share a label.
     """
@@ -356,13 +387,9 @@ def compare_policies(configs: list[RunConfig]) -> list[ComparisonRun]:
         if by_label.setdefault(label, config) != config:
             raise ConfigError("configs", f"two different configs share the run label {label!r}, "
                                          "which names only the forecaster and the policy")
-    streams = materialize(first)
-    runs = []
-    for config in configs:
-        log = run(config, stream_set=streams)
-        runs.append(ComparisonRun(label=run_label(config), log=log,
-                                  report=build_report(log)))
-    return runs
+    logs = _step_runs(configs, materialize(first))
+    return [ComparisonRun(label=run_label(config), log=log, report=build_report(log))
+            for config, log in zip(configs, logs)]
 
 
 def comparison_table(runs: list[ComparisonRun]) -> list[dict]:

@@ -14,12 +14,14 @@ p-value is pinned to 0 or 1. Both thresholds are relative to the samples'
 magnitude, sqrt(mean1² + mean2² + var1 + var2), so rescaling both samples by
 a power of two leaves the decision unchanged. Moments far from 1 are first
 divided by a power of two, which is exact and leaves the statistic as it
-is, so that no square in the test under- or overflows. ``welch_p_values``
-runs many such tests at once; each p-value equals the scalar test's bit
-for bit. ``welch_rejections`` gives only the decisions, the same ones, at
-every alpha: most tests are decided from |t| alone, below a normal and
-above a Student-t critical bound that hold for every Welch dof, and only
-the tests between the bounds get a p-value.
+is, so that no square in the test under- or overflows. A nan or infinite
+mean or variance leaves the rescaled size non-finite, and the test raises
+ValueError; tests that need no rescaling pay nothing for that check.
+``welch_p_values`` runs many such tests at once; each p-value equals the
+scalar test's bit for bit. ``welch_rejections`` gives only the decisions,
+the same ones, at every alpha: most tests are decided from |t| alone, below
+a normal and above a Student-t critical bound that hold for every Welch
+dof, and only the tests between the bounds get a p-value.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
@@ -50,6 +52,7 @@ RSS_FLOOR = 1e-12
 SEGMENT_VAR_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_NON_FINITE = "Welch moments must be finite"
 
 
 @dataclass(frozen=True)
@@ -120,13 +123,6 @@ def _lentz_iterations(a: float, b: float, x: float, first: int,
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    return _incomplete_beta(a, b, x, 1.0 - x)
-
-
 def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     """I_x(a, b) for a, b > 0; the symmetric form reads y = 1 - x, not a rounded 1.0 - x."""
     if x <= 0.0:
@@ -172,6 +168,8 @@ def welch_test_from_moments(n1: int, mean1: float, var1: float,
         mean1, mean2 = math.ldexp(mean1, -exp), math.ldexp(mean2, -exp)
         var1, var2 = math.ldexp(var1, -2 * exp), math.ldexp(var2, -2 * exp)
         size = mean1 * mean1 + mean2 * mean2 + var1 + var2
+        if not math.isfinite(size):  # finite moments rescale to a size of at most 4
+            raise ValueError(_NON_FINITE)
     diff = mean1 - mean2
     if var1 <= DEGENERATE_VAR * size and var2 <= DEGENERATE_VAR * size:
         dof = float(n1 + n2 - 2)
@@ -220,6 +218,8 @@ def welch_p_values(n1, mean1, var1, n2, mean2, var2) -> np.ndarray:
         v1, v2 = np.ldexp(v1, -2 * exp), np.ldexp(v2, -2 * exp)
         mean1[far], mean2[far], var1[far], var2[far] = m1, m2, v1, v2
         size[far] = m1 * m1 + m2 * m2 + v1 + v2
+        if not np.isfinite(size[far]).all():
+            raise ValueError(_NON_FINITE)
     diff = mean1 - mean2
     p = np.empty(size.shape)
     degenerate = (var1 <= DEGENERATE_VAR * size) & (var2 <= DEGENERATE_VAR * size)
@@ -283,8 +283,9 @@ def welch_rejections(n1, mean1, var1, n2, mean2, var2, alpha: float) -> np.ndarr
     Every other test takes the exact path: those with degenerate moments,
     with moments whose size lies outside (1e-100, 1e100), with more than
     2**24 values, or with |t| in [z, t_hi]. Up to 32 go through the scalar
-    test, more through ``welch_p_values``. The bounds are computed once per
-    (alpha, nu).
+    test, more through ``welch_p_values``. A nan or infinite moment leaves
+    the size outside that range, so its test raises ValueError there. The
+    bounds are computed once per (alpha, nu).
     """
     n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
     n1, n2 = n1.ravel(), n2.ravel()

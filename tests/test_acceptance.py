@@ -18,7 +18,7 @@ import pytest
 
 from oracles import optimal_partition
 
-from driftmon.evaluate import build_report, sape
+from driftmon.evaluate import sape
 from driftmon.features import FeatureSpec, feature_matrix
 from driftmon.forecasters import (
     BoostingParams,
@@ -31,7 +31,7 @@ from driftmon.forecasters import (
     predict_matrix,
 )
 from driftmon.monitor import EveryKBatches, MeanTestPolicy, NeverPolicy, PeltPolicy, pelt
-from driftmon.pipeline import RunConfig, materialize, run
+from driftmon.pipeline import RunConfig, compare_policies, run
 from driftmon.simulate import NullStudyConfig, RegimeScenario, run_null_study
 from driftmon.stats import mean_equality_test
 from driftmon.streams import StreamSet
@@ -97,14 +97,10 @@ def _policy_study_seed(seed: int) -> tuple[int, dict]:
         "mean01": RunConfig(policy=MeanTestPolicy(alpha=0.01), **base),
         "pelt": RunConfig(policy=PeltPolicy(min_seg_len=5), **base),
     }
-    streams = materialize(configs["daily"])
-    out = {}
-    for name, config in configs.items():
-        log = run(config, stream_set=streams)
-        report = build_report(log)
-        out[name] = {"smape": report.avg_smape,
-                     "retrains": sum(r.retrain for r in log.records)}
-    return seed, out
+    runs = compare_policies(list(configs.values()))
+    return seed, {name: {"smape": cr.report.avg_smape,
+                         "retrains": sum(r.retrain for r in cr.log.records)}
+                  for name, cr in zip(configs, runs)}
 
 
 @pytest.fixture(scope="module")

@@ -197,6 +197,107 @@ def test_compare_policies_rejects_different_configs_with_one_run_label():
     assert "'naive/never'" in str(exc.value)
 
 
+# A geometry small enough for every forecaster: 12-slot days, 4-slot batches.
+SHARED = dict(source=RegimeScenario(n_streams=2, n_days=10, slots_per_day=12,
+                                    level_shifts=((6, 0, 3.0), (8, 1, 0.4)), noise_scale=1.0,
+                                    seed=11),
+              feature_spec=FeatureSpec(lags=(2, 12), slots_per_day=12), window_days=4,
+              slots_per_batch=4, horizon=2, naive_lag=12, seed=11)
+SMALL_HP = HyperParams(forest=ForestParams(n_trees=2), lasso=LassoParams(n_lambda=5),
+                       boosting=BoostingParams(n_rounds=2))
+FOUR_POLICIES = (MeanTestPolicy(alpha=0.2), PeltPolicy(min_seg_len=2), EveryKBatches(k=2),
+                 NeverPolicy())
+
+
+def _log_fields(log):
+    head = (log.stream_ids, log.horizon, log.policy_name, log.forecaster, log.seed,
+            log.config_hash, log.meta)
+    return head, [(r.stream_id, r.batch_index, r.batch_end, r.decision, r.p_value,
+                   r.statistic, r.model_token, r.forecasts.tolist(), r.actuals.tolist())
+                  for r in log.records]
+
+
+def _fit_tick(token: str) -> int:
+    """The tick a model was trained at, from its token ``forecaster@tick#count``."""
+    return int(token.split("@")[1].split("#")[0])
+
+
+def test_compared_runs_equal_their_solo_runs():
+    other_forest = HyperParams(forest=ForestParams(n_trees=3, mtry=1))
+    configs = [RunConfig(forecaster=forecaster, policy=policy, hyperparams=SMALL_HP, **SHARED)
+               for forecaster in ("naive", "lasso", "forest", "boosting")
+               for policy in FOUR_POLICIES]
+    # a second forest that refits at ticks the first one does: the fits must not be shared
+    configs += [RunConfig(forecaster="forest", policy=policy, hyperparams=other_forest,
+                          **SHARED) for policy in (EveryKBatches(k=1), MeanTestPolicy(0.5))]
+    runs = compare_policies(configs)
+    assert any(r.retrain for r in runs[-2].log.records)
+    panel = materialize(configs[0])
+    for config, compared in zip(configs, runs):
+        solo = run(config, stream_set=panel)
+        assert _log_fields(compared.log) == _log_fields(solo), compared.label
+
+
+def test_compared_runs_fit_each_stream_and_tick_once(monkeypatch):
+    import driftmon.pipeline as pipeline
+
+    seeds = []
+
+    def counting_fit_forest(data, hp, seed, trained_at):
+        seeds.append((seed, trained_at))
+        return fit_forest(data, hp, seed, trained_at=trained_at)
+
+    fit_forest = pipeline.fit_forest
+    monkeypatch.setattr(pipeline, "fit_forest", counting_fit_forest)
+    runs = compare_policies([RunConfig(forecaster="forest", policy=policy, hyperparams=SMALL_HP,
+                                       **SHARED)
+                             for policy in (EveryKBatches(k=1), MeanTestPolicy(0.2),
+                                            NeverPolicy())])
+    # every fit forecasts at least one batch, so the tokens name every fit
+    per_run = [{(r.stream_id, _fit_tick(r.model_token)) for r in cr.log.records} for cr in runs]
+    distinct = set().union(*per_run)
+    assert len(seeds) == len(set(seeds)) == len(distinct)
+    assert len(distinct) < sum(map(len, per_run))  # the daily run's fits were shared
+
+
+def test_shared_fits_record_equal_retrain_seconds():
+    runs = compare_policies([RunConfig(forecaster="forest", policy=policy,
+                                       hyperparams=SMALL_HP, **SHARED)
+                             for policy in (EveryKBatches(k=1), EveryKBatches(k=2),
+                                            MeanTestPolicy(0.2))])
+    seconds: dict = {}
+    for cr in runs:
+        for stream in cr.log.stream_ids:
+            records = cr.log.for_stream(stream)
+            for record, following in zip(records, records[1:]):
+                if record.retrain:
+                    assert record.retrain_seconds > 0.0
+                    key = (stream, _fit_tick(following.model_token))
+                    seconds.setdefault(key, set()).add(record.retrain_seconds)
+                else:
+                    assert record.retrain_seconds == 0.0
+    assert all(len(s) == 1 for s in seconds.values())
+    assert len(seconds) < sum(r.retrain for cr in runs for r in cr.log.records)
+
+
+def test_a_comparison_checks_every_config_before_the_first_fit(monkeypatch):
+    import driftmon.pipeline as pipeline
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the last config was checked")
+
+    monkeypatch.setattr(pipeline, "training_set", no_fit)
+    base = dict(source=tiny_scenario(3, n_days=12), feature_spec=SMALL_SPEC, window_days=8)
+    configs = [RunConfig(forecaster="naive", policy=EveryKBatches(k=1), **base),
+               RunConfig(forecaster="naive", policy=NeverPolicy(), **base),
+               # 60 rows in the first window: too few for nodes of 61
+               RunConfig(forecaster="forest", policy=NeverPolicy(), **base,
+                         hyperparams=HyperParams(forest=ForestParams(min_node_size=61)))]
+    with pytest.raises(ConfigError) as err:
+        compare_policies(configs)
+    assert err.value.field == "forest_min_node_size"
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         naive_config(NeverPolicy(), horizon=120)  # horizon > batch

@@ -15,13 +15,13 @@ from driftmon.stats import (
     TestResult,
     _beta_continued_fraction,
     _beta_continued_fractions,
+    _incomplete_beta,
     _screen_bounds,
     _student_t_two_sided_ps,
     _t_bound,
     bic,
     gaussian_segment_cost,
     mean_equality_test,
-    regularized_incomplete_beta,
     student_t_two_sided_p,
     welch_p_values,
     welch_rejections,
@@ -284,6 +284,29 @@ def test_insufficient_samples():
         welch_p_values([5, 1], 0.0, 1.0, 5, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [1, 2, 4, 5], ids=["mean1", "var1", "mean2", "var2"])
+def test_non_finite_welch_moments_raise(position, bad):
+    # the second set has zero variances: the degenerate branch forms no t
+    for base in ((5, 0.0, 1.0, 5, 0.0, 1.0), (5, 3.0, 0.0, 7, 3.0, 0.0)):
+        moments = list(base)
+        moments[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            welch_test_from_moments(*moments, 0.05)
+        with pytest.raises(ValueError, match="finite"):
+            welch_p_values(*moments)
+        with pytest.raises(ValueError, match="finite"):
+            welch_rejections(*moments, 0.05)
+        # one bad test among 40: welch_rejections screens the other 39 of the
+        # first set and sends all 40 degenerate ones of the second to welch_p_values
+        columns = [np.full(40, float(m)) for m in base]
+        columns[position][17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            welch_p_values(*columns)
+        with pytest.raises(ValueError, match="finite"):
+            welch_rejections(*columns, 0.05)
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=samples, b=samples)
 def test_swap_flips_statistic_and_preserves_p(a, b):
@@ -323,7 +346,7 @@ def test_incomplete_beta_against_scipy():
     for a in (0.5, 1.0, 2.5, 4.0, 24.5, 100.0, 5000.0, 50000.0):
         for b in (0.5, 1.0, 3.0):
             for x in (1e-9, 1e-4, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-9):
-                mine = regularized_incomplete_beta(a, b, x)
+                mine = _incomplete_beta(a, b, x, 1 - x)
                 ref = float(special.betainc(a, b, x))
                 if ref > 0:
                     worst = max(worst, abs(mine - ref) / ref)
