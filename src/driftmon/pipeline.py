@@ -149,6 +149,9 @@ def config_from_dict(data: dict) -> RunConfig:
     if len(sources) != 1:
         raise ConfigError("data_csv", "exactly one of data_csv, data_scenario, "
                                       "data_scenario_inline is required")
+    # open() would take an int as a file descriptor, and str() any value as a path
+    if sources[0] != "data_scenario_inline" and not isinstance(data[sources[0]], str):
+        raise ConfigError(sources[0], f"must be a path string, got {data[sources[0]]!r}")
     with config_errors(sources[0]):  # a scenario's own errors name their field
         if "data_csv" in data:
             source: str | RegimeScenario = str(data["data_csv"])

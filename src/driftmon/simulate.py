@@ -13,7 +13,7 @@ hold if the window's earlier tests accepted, and keeps the tests up to each
 replication's first rejection. Counts are those of stepping ``observe`` on
 the raw batches, bit for bit. Most tests are decided from their t statistic
 alone (``welch_rejections``); only those in the narrow band between its
-normal and Student-t bounds get a p-value, which is the scalar test's.
+bounds at the test's own Welch dof take the scalar test.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def replication_counts(config: NullStudyConfig) -> tuple[np.ndarray, np.ndarray]
     ``observe`` batch by batch. The references are ``ReferenceBatch``'s
     (both merge with ``merged_moments``), bit for bit, and each decision is
     ``welch_test_from_moments``'s: ``welch_rejections`` decides most tests
-    from t alone and computes p-values only in the band between its
+    from t alone and runs the scalar test only in the band between its
     bounds. A replication's stream is
     drawn a chunk of whole batches at a time, and only the moments of
     batches drawn but not yet stepped are kept, so memory does not grow

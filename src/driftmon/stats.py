@@ -17,11 +17,10 @@ divided by a power of two, which is exact and leaves the statistic as it
 is, so that no square in the test under- or overflows. A nan or infinite
 mean or variance leaves the rescaled size non-finite, and the test raises
 ValueError; tests that need no rescaling pay nothing for that check.
-``welch_p_values`` runs many such tests at once; each p-value equals the
-scalar test's bit for bit. ``welch_rejections`` gives only the decisions,
-the same ones, at every alpha: most tests are decided from |t| alone, below
-a normal and above a Student-t critical bound that hold for every Welch
-dof, and only the tests between the bounds get a p-value.
+``welch_rejections`` decides many such tests at once, each as the scalar
+test does, at every alpha: most are decided from |t| alone, below an accept
+and above a reject bound taken at the test's own Welch dof, and only the
+tests between the bounds take the scalar test.
 
 BIC floors the residual sum of squares relative to a total sum of squares
 the caller passes, so a selection by BIC does not depend on the scale of the
@@ -78,26 +77,18 @@ class TestResult:
 _CF_MAX_ITER = 500
 _CF_EPS = 1e-16
 _CF_FPMIN = 1e-300
-# Lentz iterations whose coefficients an array continued fraction computes
-# at once, and the elements left at which it finishes each in the scalar loop.
-_CF_BLOCK = 8
-_CF_SCALAR_TAIL = 16
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz iteration."""
-    d = 1.0 - (a + b) * x / (a + 1.0)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
     if abs(d) < _CF_FPMIN:
         d = _CF_FPMIN
     d = 1.0 / d
-    return _lentz_iterations(a, b, x, 1, 1.0, d, d)
-
-
-def _lentz_iterations(a: float, b: float, x: float, first: int,
-                      c: float, d: float, h: float) -> float:
-    """The Lentz iterations ``first`` .. 500, from the state (c, d, h) before ``first``."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    for m in range(first, _CF_MAX_ITER + 1):
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -186,56 +177,6 @@ def welch_test_from_moments(n1: int, mean1: float, var1: float,
     return TestResult(statistic=t, dof=dof, p_value=p, reject=p < alpha)
 
 
-def welch_p_values(n1, mean1, var1, n2, mean2, var2) -> np.ndarray:
-    """Two-sided Welch p-values of many tests at once, from their moments.
-
-    Element i equals ``welch_test_from_moments(n1[i], mean1[i], var1[i], n2[i],
-    mean2[i], var2[i], alpha).p_value`` bit for bit, and that test rejects
-    exactly when the p-value is below ``alpha``. Arguments broadcast against
-    each other. Every step is the scalar test's arithmetic in its order:
-    numpy's +, -, *, / and sqrt round as Python's do, frexp and ldexp are
-    exact, and each element leaves the continued fraction at its own
-    iteration. What numpy would compute differently goes through Python
-    element by element: the transcendentals (``np.log``, ``np.log1p`` and
-    ``np.exp`` differ from ``math`` on some inputs) and the square in the
-    Welch dof (Python's ``x ** 2`` is libm ``pow``, numpy's is ``x * x``).
-    """
-    n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
-    n1, n2 = n1.ravel(), n2.ravel()
-    if n1.size and min(n1.min(), n2.min()) < 2:
-        raise InsufficientSample("need >= 2 observations per sample")
-    # copies: the rescaling below writes into them
-    mean1, var1, mean2, var2 = (v.astype(float).ravel() for v in (mean1, var1, mean2, var2))
-    with np.errstate(over="ignore"):  # Python's squares overflow to inf silently too
-        size = mean1 * mean1 + mean2 * mean2 + var1 + var2
-    far = ~((1e-100 < size) & (size < 1e100))
-    if far.any():
-        # keep the squares here and in the Welch dof from under- or overflowing
-        m1, m2, v1, v2 = mean1[far], mean2[far], var1[far], var2[far]
-        _, exp = np.frexp(np.maximum(np.maximum(np.abs(m1), np.abs(m2)),
-                                     np.sqrt(np.maximum(v1, v2))))
-        m1, m2 = np.ldexp(m1, -exp), np.ldexp(m2, -exp)
-        v1, v2 = np.ldexp(v1, -2 * exp), np.ldexp(v2, -2 * exp)
-        mean1[far], mean2[far], var1[far], var2[far] = m1, m2, v1, v2
-        size[far] = m1 * m1 + m2 * m2 + v1 + v2
-        if not np.isfinite(size[far]).all():
-            raise ValueError(_NON_FINITE)
-    diff = mean1 - mean2
-    p = np.empty(size.shape)
-    degenerate = (var1 <= DEGENERATE_VAR * size) & (var2 <= DEGENERATE_VAR * size)
-    gap = diff[degenerate]
-    p[degenerate] = np.where(gap * gap > DEGENERATE_MEAN_GAP ** 2 * size[degenerate], 0.0, 1.0)
-    live = ~degenerate
-    n1, n2, diff = n1[live], n2[live], diff[live]
-    se1 = var1[live] / n1
-    se2 = var2[live] / n2
-    se_sum = se1 + se2
-    t = diff / np.sqrt(se_sum)
-    dof = _each(_square, se_sum) / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
-    p[live] = _student_t_two_sided_ps(t, dof)
-    return p
-
-
 # A screen decides a test from t alone only where the bound's p-value is off
 # alpha by this relative margin, far above a computed p-value's rounding error.
 _SCREEN_MARGIN = 1e-6
@@ -245,208 +186,130 @@ _SCREEN_P_FLOOR = 1e-280
 # Tests with more than this many values together are not screened: math.lgamma's
 # absolute error grows with its argument, and so the p-value's relative error.
 _SCREEN_MAX_N = 2 ** 24
-# The reject bound's search gives up past this t, whose square still is finite.
+# The bound search gives up past this t, whose square still is finite.
 _SCREEN_MAX_T = 2.0 ** 500
-# Unscreened tests up to this many take the scalar test, one by one; more take
-# welch_p_values, whose numpy calls cost about as much as this many scalar tests.
-_SCALAR_BAND = 32
+# Welch dof buckets per octave. A bucket's bounds hold for every dof in it, so
+# more buckets narrow the band between them and cost more bound searches.
+_DOF_STEPS = 8
 
 
 def welch_rejections(n1, mean1, var1, n2, mean2, var2, alpha: float) -> np.ndarray:
-    """Whether each Welch test rejects at ``alpha``: ``welch_p_values(...) < alpha``.
+    """Whether each Welch test rejects at ``alpha``, from the tests' moments.
 
-    Arguments broadcast as in ``welch_p_values``, and element i equals its
-    element i ``< alpha``. Most tests are decided from |t| alone, by two
-    bounds on the two-sided p-value P(|T_dof| >= t) that hold for every
-    Welch dof; only the tests between them get a p-value.
+    Arguments broadcast against each other, and element i equals
+    ``welch_test_from_moments(n1[i], mean1[i], var1[i], n2[i], mean2[i],
+    var2[i], alpha).reject``. Most tests are decided from |t| alone. A
+    test's Welch dof falls in a bucket [lo, hi), one of eight per octave,
+    and the bucket has two bounds. Both rest only on the two-sided p-value
+    P(|T_dof| >= t) falling as t grows and as dof grows:
 
-    - Accept below z, where erfc(z / sqrt(2)) >= alpha * (1 + 1e-6). For
-      every real dof > 0, P(|T_dof| >= t) >= P(|Z| >= t) = erfc(t / sqrt(2)):
-      T_dof is Z / sqrt(S) with S = chi2_dof / dof independent of Z and
-      E[S] = 1, so P(|T_dof| >= t) = E[g(S)] with g(s) = erfc(t * sqrt(s / 2)).
-      For t > 0, g''(s) = t * phi(t * sqrt(s)) * (t**2 * s + 1) / (2 * s**1.5) > 0,
-      so g is convex and Jensen gives E[g(S)] >= g(E[S]) = g(1).
-    - Reject above t_hi, where ``student_t_two_sided_p(t_hi, nu) <=
-      alpha * (1 - 1e-6)`` for nu = min(n1, n2) - 1 over all the tests. The
-      Welch dof is at least nu: with f = min(n1, n2) - 1 and se_i = var_i / n_i,
-      se1**2 / (n1 - 1) + se2**2 / (n2 - 1) <= (se1**2 + se2**2) / f
-      <= (se1 + se2)**2 / f. And P(|T_dof| >= t) falls as dof grows: chi2_dof / dof
-      keeps its mean 1 and shrinks in the convex order as dof grows (gamma
-      laws of one mean, ordered by shape), and g above is convex.
+    - Accept below t_lo, where ``student_t_two_sided_p(t_lo, hi) >
+      max(alpha, 1e-280) * (1 + 1e-6)``: for |t| < t_lo and dof < hi the
+      p-value is at least that.
+    - Reject above t_hi, where ``student_t_two_sided_p(t_hi, lo) <=
+      alpha * (1 - 1e-6)``: for |t| > t_hi and dof >= lo the p-value is at
+      most that.
     - The margin of 1e-6 covers the computed p-value's error, and a Welch
-      dof that rounds a few ulps below nu. That error stays below 1e-7 at
-      every alpha: x and 1 - x of the t tail are each formed to a few ulps
-      at any t, which moves the p-value by dof / 2 times that at most; a
-      test has at most 2**24 values, so math.lgamma's error stays small;
-      and no bound's p-value lies below 1e-280, far from the subnormals.
+      dof that the scalar test rounds a few ulps outside the bucket. That
+      error stays below 1e-7 at every alpha: x and 1 - x of the t tail are
+      each formed to a few ulps at any t, which moves the p-value by
+      dof / 2 times that at most; a test has at most 2**24 values, so
+      math.lgamma's error stays small; and no bound's p-value lies below
+      1e-280, far from the subnormals.
 
-    Every other test takes the exact path: those with degenerate moments,
+    Every other test takes the scalar test: those with degenerate moments,
     with moments whose size lies outside (1e-100, 1e100), with more than
-    2**24 values, or with |t| in [z, t_hi]. Up to 32 go through the scalar
-    test, more through ``welch_p_values``. A nan or infinite moment leaves
-    the size outside that range, so its test raises ValueError there. The
-    bounds are computed once per (alpha, nu).
+    2**24 values, or with |t| in [t_lo, t_hi]. A nan or infinite moment
+    leaves the size outside that range, so its test raises ValueError
+    there. The bounds are computed once per (alpha, bucket).
     """
     n1, mean1, var1, n2, mean2, var2 = np.broadcast_arrays(n1, mean1, var1, n2, mean2, var2)
     n1, n2 = n1.ravel(), n2.ravel()
     if not n1.size:
         return np.zeros(0, dtype=bool)
-    nu = int(min(n1.min(), n2.min())) - 1
-    if nu < 1:
+    if min(n1.min(), n2.min()) < 2:
         raise InsufficientSample("need >= 2 observations per sample")
     mean1, var1, mean2, var2 = (np.asarray(v, dtype=float).ravel()
                                 for v in (mean1, var1, mean2, var2))
-    # a smaller nu keeps a valid reject bound; no screened test has a larger one
-    z, t_hi = _screen_bounds(float(alpha), min(nu, _SCREEN_MAX_N // 2))
-    # t as welch_p_values computes it; degenerate and far moments may divide
-    # by zero or overflow here, and take the exact path
+    # t and the Welch dof as the scalar test computes them, to a few ulps of
+    # the dof; degenerate and far moments may divide by zero or overflow
+    # here, and take the scalar test
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         size = mean1 * mean1 + mean2 * mean2 + var1 + var2
-        t = np.abs(mean1 - mean2) / np.sqrt(var1 / n1 + var2 / n2)
+        se1, se2 = var1 / n1, var2 / n2
+        se = se1 + se2
+        t = np.abs(mean1 - mean2) / np.sqrt(se)
+        dof = se * se / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
         screened = ((1e-100 < size) & (size < 1e100) & (n1 + n2 <= _SCREEN_MAX_N)
                     & ((var1 > DEGENERATE_VAR * size) | (var2 > DEGENERATE_VAR * size)))
+    t_lo, t_hi = _screen_bounds(float(alpha), np.where(screened, dof, 1.0))
     reject = screened & (t > t_hi)
-    exact = np.flatnonzero(~(reject | (screened & (t < z))))
-    if exact.size > _SCALAR_BAND:
-        reject[exact] = welch_p_values(n1[exact], mean1[exact], var1[exact],
-                                       n2[exact], mean2[exact], var2[exact]) < alpha
-    elif exact.size:
-        columns = [v[exact].tolist() for v in (n1, mean1, var1, n2, mean2, var2)]
-        reject[exact] = [welch_test_from_moments(*moments, alpha).reject
-                         for moments in zip(*columns)]
+    scalar = np.flatnonzero(~(reject | (screened & (t < t_lo))))
+    if scalar.size:
+        columns = [v[scalar].tolist() for v in (n1, mean1, var1, n2, mean2, var2)]
+        reject[scalar] = [welch_test_from_moments(*moments, alpha).reject
+                          for moments in zip(*columns)]
     return reject
 
 
-@functools.lru_cache(maxsize=256)
-def _screen_bounds(alpha: float, nu: int) -> tuple[float, float]:
-    """(z, t_hi) of ``welch_rejections``: accept |t| < z, reject |t| > t_hi.
+def _dof_buckets(dof: np.ndarray) -> np.ndarray:
+    """The bucket of each dof >= 0.5: ``_DOF_STEPS`` times its frexp exponent,
+    plus the step of the octave its mantissa lies in. Exact: the mantissa
+    lies in [0.5, 1), so (mantissa - 0.5) * 2 * _DOF_STEPS is formed exactly."""
+    mantissa, exponent = np.frexp(dof)
+    steps = ((mantissa - 0.5) * (2 * _DOF_STEPS)).astype(np.int64)
+    return exponent * _DOF_STEPS + steps
 
-    t_hi = inf means no reject screen, and z = 0 no accept screen, which
-    comes of an alpha within about 1e-6 of 1 or above it.
+
+def _bucket_dofs(bucket: int) -> tuple[float, float]:
+    """(lo, hi): bucket ``bucket`` holds the dofs in [lo, hi)."""
+    exponent, step = divmod(bucket, _DOF_STEPS)
+    return tuple(math.ldexp(0.5 + k / (2 * _DOF_STEPS), exponent) for k in (step, step + 1))
+
+
+def _screen_bounds(alpha: float, dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t_lo, t_hi) of ``welch_rejections`` for each dof, from its bucket."""
+    buckets = _dof_buckets(dof)
+    present = np.flatnonzero(np.bincount(buckets))
+    table = np.empty((present[-1] + 1, 2))
+    table[present] = [_bucket_bounds(alpha, bucket) for bucket in present.tolist()]
+    return tuple(table[buckets].T)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bucket_bounds(alpha: float, bucket: int) -> tuple[float, float]:
+    """(t_lo, t_hi) of ``welch_rejections`` for the dofs of bucket ``bucket``.
+
+    t_lo = 0 means no accept screen, which comes of an alpha within about
+    1e-6 of 1 or above it, and t_hi = inf no reject screen.
     """
+    lo, hi = _bucket_dofs(bucket)
     accept = max(alpha, _SCREEN_P_FLOOR) * (1.0 + _SCREEN_MARGIN)
-    # erfc(40 / sqrt(2)) rounds to 0, below any target
-    z, _ = _bisect(lambda s: math.erfc(s / math.sqrt(2.0)) >= accept, 0.0, 40.0)
     reject = alpha * (1.0 - _SCREEN_MARGIN)
-    return z, _t_bound(reject, float(nu)) if reject >= _SCREEN_P_FLOOR else math.inf
+    return (_t_bounds(accept, hi)[0] if accept < 1.0 else 0.0,
+            _t_bounds(reject, lo)[1] if reject >= _SCREEN_P_FLOOR else math.inf)
 
 
-def _t_bound(target: float, dof: float) -> float:
-    """A t with ``student_t_two_sided_p(t, dof) <= target``, within 1e-12 of the
-    least, or inf when none lies below 2**500."""
+def _t_bounds(target: float, dof: float) -> tuple[float, float]:
+    """(lo, hi) about the least t with ``student_t_two_sided_p(t, dof) <= target``.
+
+    The p-value exceeds target at lo, 0 included when target < 1, and is at
+    most target at hi, within 1e-6 * hi of lo; that slack widens a bucket's
+    band by at most 1e-6 of t. When no such t lies below 2**500, hi is inf
+    and lo is 2**500.
+    """
     lo, hi = 0.0, 1.0
     while not student_t_two_sided_p(hi, dof) <= target:
         if hi >= _SCREEN_MAX_T:
-            return math.inf
+            return hi, math.inf
         lo, hi = hi, 2.0 * hi
-    _, hi = _bisect(lambda s: not student_t_two_sided_p(s, dof) <= target, lo, hi)
-    # the bisection keeps the inequality at hi; check it once more all the same
-    return hi if student_t_two_sided_p(hi, dof) <= target else math.inf
-
-
-def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi] narrowed to 1e-12 * hi, moving lo to each midpoint ``below`` holds at."""
-    while hi - lo > 1e-12 * hi:
+    while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
+        if student_t_two_sided_p(mid, dof) <= target:
             hi = mid
+        else:
+            lo = mid
     return lo, hi
-
-
-def _each(f, x: np.ndarray) -> np.ndarray:
-    """``f`` of each element of ``x``, as Python floats."""
-    return np.fromiter(map(f, x.tolist()), float, x.size)
-
-
-def _square(v: float) -> float:
-    return v ** 2
-
-
-def _student_t_two_sided_ps(t: np.ndarray, dof: np.ndarray) -> np.ndarray:
-    """``student_t_two_sided_p`` of each (t, dof) pair, bit for bit; every dof > 0."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite t * t: x 0, y nan
-        u = t * t
-        x, y = dof / (dof + u), u / (dof + u)
-    return np.minimum(np.maximum(_incomplete_betas(0.5 * dof, 0.5, x, y), 0.0), 1.0)
-
-
-def _incomplete_betas(a: np.ndarray, b: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_incomplete_beta(a[i], b, x[i], y[i])`` for each i, bit for bit."""
-    out = np.where(x <= 0.0, 0.0, 1.0)  # y <= 0 leaves 1
-    inner = (0.0 < x) & (0.0 < y)
-    a, x, y = a[inner], x[inner], y[inner]
-    # the symmetric form where the continued fraction converges fast, in y
-    lower = x < (a + 1.0) / (a + b + 2.0)
-    s = np.where(lower, x, y)
-    log_s, log1m_s = _each(math.log, s), _each(math.log1p, -s)
-    ln_front = (_each(math.lgamma, a + b) - _each(math.lgamma, a) - math.lgamma(b)
-                + a * np.where(lower, log_s, log1m_s) + b * np.where(lower, log1m_s, log_s))
-    front = _each(math.exp, ln_front)
-    cf = _beta_continued_fractions(np.where(lower, a, b), np.where(lower, b, a), s)
-    out[inner] = np.where(lower, front * cf / a, 1.0 - front * cf / b)
-    return out
-
-
-def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_beta_continued_fraction`` of each (a, b, x), bit for bit.
-
-    The iterations run in blocks of _CF_BLOCK, whose coefficients are
-    computed in one go; an element's result is its h at the iteration where
-    the scalar loop returns. After each block the arrays shrink to the
-    elements still iterating, and once few are left, each finishes in the
-    scalar loop from its state.
-    """
-    out = np.empty(x.shape)
-    index = np.arange(x.size)
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones(x.shape)
-    d = 1.0 - qab * x / qap
-    d = 1.0 / np.where(np.abs(d) < _CF_FPMIN, _CF_FPMIN, d)
-    h = d
-    for first in range(1, _CF_MAX_ITER + 1, _CF_BLOCK):
-        if index.size <= _CF_SCALAR_TAIL:
-            for i, *state in zip(*(v.tolist() for v in (index, a, b, x)), [first] * index.size,
-                                 *(v.tolist() for v in (c, d, h))):
-                out[i] = _lentz_iterations(*state)
-            return out
-        m = np.arange(first, min(first + _CF_BLOCK, _CF_MAX_ITER + 1))[:, None]
-        m2 = 2 * m
-        am2 = a + m2
-        odd = m * (b - m) * x / ((qam + m2) * am2)
-        even = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        hs = np.empty(odd.shape)
-        deltas = np.empty(odd.shape)
-        dc = np.stack([d, c])  # row 0: d before its reciprocal; row 1: c
-        for k, aa in enumerate(odd):
-            d = _lentz_half_step(aa, dc, d)
-            h = h * (d * dc[1])
-            d = _lentz_half_step(even[k], dc, d)
-            h = np.multiply(h, np.multiply(d, dc[1], out=deltas[k]), out=hs[k])
-        c = dc[1]
-        converged = np.abs(deltas - 1.0) < _CF_EPS
-        done = converged.any(axis=0)
-        if done.any():
-            cols = np.flatnonzero(done)
-            out[index[cols]] = hs[converged.argmax(axis=0)[cols], cols]
-            going = ~done
-            index, a, b, x, qab, qap, qam, c, d, h = (
-                v[going] for v in (index, a, b, x, qab, qap, qam, c, d, h))
-    raise ArithmeticError(f"incomplete beta did not converge for a={a[0]}, b={b[0]}, x={x[0]}")
-
-
-def _lentz_half_step(aa: np.ndarray, dc: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """One coefficient's update of d and of c = ``dc[1]``, as in ``_lentz_iterations``.
-
-    Updates ``dc[1]`` in place and returns the new d.
-    """
-    np.multiply(aa, d, out=dc[0])
-    np.divide(aa, dc[1], out=dc[1])
-    np.add(dc, 1.0, out=dc)
-    if np.abs(dc).min() < _CF_FPMIN:
-        dc[np.abs(dc) < _CF_FPMIN] = _CF_FPMIN
-    return 1.0 / dc[0]
 
 
 def mean_equality_test(a, b, alpha: float) -> TestResult:

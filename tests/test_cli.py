@@ -92,6 +92,19 @@ def test_config_the_panel_cannot_hold_exits_2(tmp_path, capsys, overrides, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [{"data_scenario": 10 ** 6}, {"data_csv": None}],
+                         ids=["descriptor", "null"])
+def test_a_path_source_that_is_not_a_string_exits_2(tmp_path, capsys, source):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**source, "forecaster": "naive", "window_days": 8}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    key = next(iter(source))
+    assert err.startswith(f"config error: config field {key!r}") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"

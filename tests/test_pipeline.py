@@ -463,6 +463,17 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({})  # no data source
 
 
+# never 0, 1 or 2 (or a bool): open() of such an int reads or closes a
+# standard stream, and 10**6 is a descriptor no process has open
+@pytest.mark.parametrize("key", ["data_csv", "data_scenario"])
+@pytest.mark.parametrize("value", [None, 10 ** 6, 1.5, ["x.csv"], {"path": "x.csv"}])
+def test_path_sources_must_be_strings(key, value):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({key: value, "window_days": 8})
+    assert exc.value.field == key
+    assert "must be a path string" in str(exc.value)
+
+
 @pytest.mark.parametrize("key, value", [("pelt_min_seg_len", 1), ("every_k", 0)])
 def test_config_from_dict_checks_keys_of_unselected_policies(key, value):
     # the policy is the default mean_test, yet another policy's bad value still fails

@@ -121,6 +121,19 @@ def test_windowed_counts_equal_stepping_the_monitor(distribution, reseed, alpha)
             assert (rejections[rep], tests[rep]) == raw_batch_replication(config, rep)
 
 
+@pytest.mark.parametrize("distribution, batch_size, alpha",
+                         [("chisquare5", 10, 0.01), ("gaussian", 2, 0.05)])
+def test_windowed_counts_equal_stepping_the_monitor_where_the_band_is_wide(distribution,
+                                                                          batch_size, alpha):
+    # enough replications that a round leaves dozens of tests between the
+    # screen's bounds, at the small Welch dofs where the band is widest
+    config = NullStudyConfig(distribution=distribution, stream_length=30 * batch_size,
+                             batch_size=batch_size, alpha=alpha, n_replications=160, seed=4)
+    rejections, tests = replication_counts(config)
+    assert list(zip(rejections.tolist(), tests.tolist())) == \
+        [raw_batch_replication(config, rep) for rep in range(config.n_replications)]
+
+
 def test_replications_stepped_in_groups_keep_their_counts(monkeypatch):
     config = NullStudyConfig(**TINY)
     together = replication_counts(config)

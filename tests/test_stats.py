@@ -14,16 +14,16 @@ from driftmon.stats import (
     SummedValues,
     TestResult,
     _beta_continued_fraction,
-    _beta_continued_fractions,
+    _bucket_bounds,
+    _bucket_dofs,
+    _dof_buckets,
     _incomplete_beta,
     _screen_bounds,
-    _student_t_two_sided_ps,
-    _t_bound,
+    _t_bounds,
     bic,
     gaussian_segment_cost,
     mean_equality_test,
     student_t_two_sided_p,
-    welch_p_values,
     welch_rejections,
     welch_test_from_moments,
 )
@@ -109,52 +109,40 @@ def moment_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sets=st.lists(moment_sets(), min_size=1, max_size=40))
-def test_array_welch_p_values_equal_the_scalar_test(sets):
-    p = welch_p_values(*map(np.array, zip(*sets)))
-    for moments, p_value in zip(sets, p.tolist()):
-        for alpha in (0.01, 0.05, 1.0):
-            scalar = welch_test_from_moments(*moments, alpha)
-            assert p_value == scalar.p_value
-            assert (p_value < alpha) == scalar.reject
+def test_welch_rejections_equal_the_scalar_test_on_every_branch(sets):
+    columns = [np.array(column) for column in zip(*sets)]
+    for alpha in (0.01, 0.05, 1.0):
+        expected = [welch_test_from_moments(*moments, alpha).reject for moments in sets]
+        assert welch_rejections(*columns, alpha).tolist() == expected
 
 
-def test_array_welch_p_values_equal_the_scalar_test_on_random_moments():
-    # a reference against a batch, as the monitor tests them; numpy's log,
-    # log1p and exp differ from math's on about 1% of these
-    rng = np.random.default_rng(17)
-    k = 3_000
-    n1, n2 = rng.integers(2, 3_000, k), rng.integers(2, 200, k)
-    mean1 = rng.normal(0.0, 1.0, k)
-    mean2 = mean1 + rng.normal(0.0, 0.3, k)
-    var1, var2 = rng.exponential(1.0, k), rng.exponential(1.0, k)
-    p = welch_p_values(n1, mean1, var1, n2, mean2, var2)
-    sets = zip(*(v.tolist() for v in (n1, mean1, var1, n2, mean2, var2)))
-    assert p.tolist() == [welch_test_from_moments(*m, 0.05).p_value for m in sets]
-
-
-def test_array_welch_squares_the_welch_dof_numerator_as_python_does():
-    # Python's x ** 2 is libm pow. With glibc 2.36 it rounds this set's
-    # (se1 + se2) ** 2 differently from x * x, which moves the p-value
-    # from 0.013439428761593172 to 0.013439428761593286.
-    moments = (134, -0.09305224801631141, 0.5814706582982921,
-               34, -0.8608053074446795, 2.821716314130389)
-    scalar = welch_test_from_moments(*moments, 0.05)
-    assert welch_p_values(*moments).tolist() == [scalar.p_value]
-
-
-@pytest.mark.parametrize("width", [1, 40])  # below and above the scalar tail
-def test_array_continued_fraction_equals_the_scalar_loop(width):
+def test_continued_fraction_floors_a_zero_denominator_and_gives_up():
     # (1, 4, 0.5) makes the first denominator exactly 0, so the 1e-300 floor engages
-    for a, b, x in ((1.0, 4.0, 0.5), (24.5, 0.5, 0.3), (0.5, 200.0, 0.999)):
-        expected = _beta_continued_fraction(a, b, x)
-        got = _beta_continued_fractions(np.full(width, a), np.full(width, b), np.full(width, x))
-        assert got.tolist() == [expected] * width
-    # neither converges in 500 iterations here
+    for a, b, x in ((1.0, 4.0, 0.5), (24.5, 0.5, 0.3), (0.5, 200.0, 0.001)):
+        front = x ** a * (1.0 - x) ** b / (a * special.beta(a, b))
+        expected = float(special.betainc(a, b, x)) / front
+        assert _beta_continued_fraction(a, b, x) == pytest.approx(expected, rel=1e-12)
+    # it does not converge in 500 iterations here
     with pytest.raises(ArithmeticError):
         _beta_continued_fraction(1e7, 1e7, 0.49999995)
-    with pytest.raises(ArithmeticError):
-        _beta_continued_fractions(np.full(width, 1e7), np.full(width, 1e7),
-                                  np.full(width, 0.49999995))
+
+
+def welch_dofs(n1, var1, n2, var2):
+    """Each test's Welch-Satterthwaite dof, as welch_rejections buckets it."""
+    se1, se2 = var1 / n1, var2 / n2
+    return (se1 + se2) ** 2 / (se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1))
+
+
+def near_bound_ts(rng, alpha, dof, rels):
+    """|t| at, just inside or just outside either screen bound of each dof's bucket."""
+    t_lo, t_hi = _screen_bounds(alpha, dof)
+    # a bound that screens nothing (t_lo 0, t_hi inf) gives way to the other, or to 1
+    t_hi = np.where(t_hi < math.inf, t_hi, t_lo)
+    t_lo = np.where(t_lo > 0.0, t_lo, t_hi)
+    bound = np.where(rng.random(dof.size) < 0.5, t_lo, t_hi)
+    bound = np.where(bound > 0.0, bound, 1.0)
+    rel = rng.choice(rels, dof.size)
+    return bound * (1.0 + rng.choice([-1.0, 1.0], dof.size) * rel)
 
 
 SCREEN_ALPHAS = (5e-324, 1e-300, 1e-6, 0.01, 0.05, 0.5, 0.999, 1.0)
@@ -168,12 +156,10 @@ def test_welch_rejections_equal_the_p_values_below_alpha(alpha, k, seed):
     # outside (1e-100, 1e100) and to subnormal variances (2**-530)
     rng = np.random.default_rng(seed)
     n1, n2 = rng.integers(2, 10 ** 5, k, endpoint=True), rng.integers(2, 500, k, endpoint=True)
-    z, t_hi = _screen_bounds(alpha, int(min(n1.min(), n2.min())) - 1)
-    bounds = [b for b in (z, t_hi) if 0.0 < b < math.inf] or [1.0]
-    rel = rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.1], k)
-    t = rng.choice(bounds, k) * (1.0 + rng.choice([-1.0, 1.0], k) * rel)
-    t[rng.random(k) < 0.1] = 0.0
     var1, var2 = 10.0 ** rng.uniform(-3, 3, k), 10.0 ** rng.uniform(-3, 3, k)
+    t = near_bound_ts(rng, alpha, welch_dofs(n1, var1, n2, var2),
+                      [0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.1])
+    t[rng.random(k) < 0.1] = 0.0
     mean1 = rng.uniform(-1e3, 1e3, k)
     mean2 = mean1 - t * np.sqrt(var1 / n1 + var2 / n2)
     degenerate = rng.random(k) < 0.1
@@ -182,22 +168,24 @@ def test_welch_rejections_equal_the_p_values_below_alpha(alpha, k, seed):
     mean2[degenerate] = mean1[degenerate] + rng.choice([0.0, 1e-12, 1.0], degenerate.sum())
     scale = rng.choice([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0 ** -530, 2.0 ** -400, 2.0 ** 400], k)
     moments = (n1, scale * mean1, scale * scale * var1, n2, scale * mean2, scale * scale * var2)
-    expected = welch_p_values(*moments) < alpha
-    assert welch_rejections(*moments, alpha).tolist() == expected.tolist()
+    expected = [welch_test_from_moments(*m, alpha).reject
+                for m in zip(*(np.broadcast_to(v, k).tolist() for v in moments))]
+    assert welch_rejections(*moments, alpha).tolist() == expected
 
 
 def test_welch_rejections_on_wide_bands_and_edge_inputs():
-    # references against batches of 50, as the null study tests them, so many
-    # that the tests between the bounds go through welch_p_values
+    # references against batches of 50, as the null study tests them; a few
+    # at each alpha below 0.5 fall between the bounds and take the scalar test
     rng = np.random.default_rng(23)
     k = 5_000
     n1 = rng.integers(50, 5_000, k)
     mean1, mean2 = rng.normal(0.0, 0.1, k), rng.normal(0.0, 0.15, k)
     var1, var2 = rng.exponential(1.0, k), rng.exponential(1.0, k)
+    moments = list(zip(n1.tolist(), mean1.tolist(), var1.tolist(), [50] * k,
+                       mean2.tolist(), var2.tolist()))
     for alpha in (1e-6, 0.01, 0.05, 0.5, 0.999):
-        expected = welch_p_values(n1, mean1, var1, 50, mean2, var2) < alpha
-        assert welch_rejections(n1, mean1, var1, 50, mean2, var2, alpha).tolist() == \
-            expected.tolist()
+        expected = [welch_test_from_moments(*m, alpha).reject for m in moments]
+        assert welch_rejections(n1, mean1, var1, 50, mean2, var2, alpha).tolist() == expected
     assert welch_rejections([], [], [], [], [], [], 0.05).tolist() == []
     with pytest.raises(InsufficientSample):
         welch_rejections([5, 1], 0.0, 1.0, 5, 0.0, 1.0, 0.05)
@@ -206,21 +194,30 @@ def test_welch_rejections_on_wide_bands_and_edge_inputs():
 @pytest.mark.parametrize("alpha", SCREEN_ALPHAS)
 @pytest.mark.parametrize("nu", [1, 2, 49, 10 ** 6])
 def test_screen_bounds_meet_their_inequalities(alpha, nu):
-    z, t_hi = _screen_bounds(alpha, nu)
-    assert z == 0.0 or math.erfc(z / math.sqrt(2.0)) >= max(alpha, 1e-280) * (1.0 + 1e-6)
-    assert t_hi == math.inf or student_t_two_sided_p(t_hi, nu) <= alpha * (1.0 - 1e-6)
+    # the bucket holding dof nu is [lo, hi), with exact edges
+    bucket = int(_dof_buckets(np.array([float(nu)]))[0])
+    lo, hi = _bucket_dofs(bucket)
+    assert lo <= nu < hi
+    edges = np.array([lo, np.nextafter(hi, 0.0), hi])
+    assert _dof_buckets(edges).tolist() == [bucket, bucket, bucket + 1]
+    # each bound holds at the edge dof where the p-value is least favourable
+    t_lo, t_hi = _bucket_bounds(alpha, bucket)
+    assert t_lo == 0.0 or student_t_two_sided_p(t_lo, hi) > max(alpha, 1e-280) * (1.0 + 1e-6)
+    assert t_hi == math.inf or student_t_two_sided_p(t_hi, lo) <= alpha * (1.0 - 1e-6)
+    assert t_lo <= t_hi
     if alpha == 0.05:
-        assert z == pytest.approx(1.959964, abs=1e-6)
-        assert t_hi == pytest.approx(scipy_stats.t.isf(0.025, nu), rel=1e-5)
+        assert t_lo == pytest.approx(scipy_stats.t.isf(0.025, hi), rel=1e-5)
+        assert t_hi == pytest.approx(scipy_stats.t.isf(0.025, lo), rel=1e-5)
 
 
 def test_reject_bound_search_at_the_ends_of_the_alpha_range():
     # at alpha 1 the bound lies near 1.6e-6, where a bisection that loses its
-    # invariant can end on a t whose p-value is 1.0; at alpha 1e-300 and nu 1
+    # invariant can end on a t whose p-value is 1.0; at alpha 1e-300 and dof 1
     # it lies near 6.4e299, past the search's cap of 2**500
-    t = _t_bound(1.0 - 1e-6, 1.0)
-    assert student_t_two_sided_p(t, 1.0) <= 1.0 - 1e-6 < student_t_two_sided_p(0.999 * t, 1.0)
-    assert _t_bound(1e-300, 1.0) == math.inf
+    lo, t = _t_bounds(1.0 - 1e-6, 1.0)
+    assert student_t_two_sided_p(t, 1.0) <= 1.0 - 1e-6 < student_t_two_sided_p(lo, 1.0)
+    assert 1.0 - 1e-6 < student_t_two_sided_p(0.999 * t, 1.0)
+    assert _t_bounds(1e-300, 1.0) == (2.0 ** 500, math.inf)
 
 
 @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.999, 1.0])
@@ -229,15 +226,13 @@ def test_welch_rejections_equal_the_scalar_test_near_the_bounds_of_large_alphas(
     # the bounds of a large alpha are small t, where a p-value taken from a
     # rounded 1 - dof / (dof + t*t) would miss the screen's margin at large
     # dof. The batch's variance is 1, so the Welch dof runs from about
-    # n2 - 1 = nu up to n1 + n2 - 2.
+    # n2 - 1 up to n1 + n2 - 2.
     rng = np.random.default_rng(n2)
     k = 400
     n1 = rng.integers(n2, 10 * n2, k, endpoint=True)
-    z, t_hi = _screen_bounds(alpha, n2 - 1)
-    bounds = [b for b in (z, t_hi) if b > 0.0]
-    rel = rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3], k)
-    t = rng.choice(bounds, k) * (1.0 + rng.choice([-1.0, 1.0], k) * rel)
     var1, var2 = 10.0 ** rng.uniform(-3, 1, k), np.ones(k)
+    t = near_bound_ts(rng, alpha, welch_dofs(n1, var1, n2, var2),
+                      [0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
     mean2 = rng.choice([-1.0, 1.0], k) * t * np.sqrt(var1 / n1 + var2 / n2)
     moments = (n1, np.zeros(k), var1, np.full(k, n2), mean2, var2)
     expected = [welch_test_from_moments(*m, alpha).reject
@@ -250,20 +245,17 @@ def test_t_tail_at_small_t_and_large_dof_against_scipy(t, dof):
     # dof + t*t rounds to dof here, so 1 - dof / (dof + t*t) would give p = 1
     expected = 2 * scipy_stats.t.sf(t, dof)
     assert student_t_two_sided_p(t, dof) == pytest.approx(expected, rel=1e-12)
-    assert _student_t_two_sided_ps(np.array([t]), np.array([dof])).tolist() == \
-        [student_t_two_sided_p(t, dof)]
 
 
 def test_t_tail_at_zero_and_infinite_t():
     ts = [0.0, -0.0, math.inf, -math.inf]
     for dof in (0.5, 1.0, 49.0, 1e6):
         assert [student_t_two_sided_p(t, dof) for t in ts] == [1.0, 1.0, 0.0, 0.0]
-        assert _student_t_two_sided_ps(np.array(ts), np.full(4, dof)).tolist() == \
-            [1.0, 1.0, 0.0, 0.0]
 
 
 def test_t_tail_lies_above_the_normal_tail_and_falls_with_dof():
-    # the two premises of welch_rejections' screens, near the critical values
+    # near the critical values: the premise of welch_rejections' bounds that
+    # the tail falls as the dof grows, and the normal tail as its limit
     dofs = (1.0, 1.5, 2.0, 10.0, 1e3, 1e6)
     criticals = [scipy_stats.norm.isf(alpha / 2) for alpha in (0.5, 0.05, 0.01, 1e-6)]
     criticals += [scipy_stats.t.isf(alpha / 2, dof) for alpha in (0.5, 0.05, 0.01, 1e-6)
@@ -281,7 +273,7 @@ def test_insufficient_samples():
     with pytest.raises(InsufficientSample):
         welch_test_from_moments(1, 0.0, 1.0, 5, 0.0, 1.0, 0.05)
     with pytest.raises(InsufficientSample):
-        welch_p_values([5, 1], 0.0, 1.0, 5, 0.0, 1.0)
+        welch_rejections([5, 1], 0.0, 1.0, 5, 0.0, 1.0, 0.05)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -294,15 +286,11 @@ def test_non_finite_welch_moments_raise(position, bad):
         with pytest.raises(ValueError, match="finite"):
             welch_test_from_moments(*moments, 0.05)
         with pytest.raises(ValueError, match="finite"):
-            welch_p_values(*moments)
-        with pytest.raises(ValueError, match="finite"):
             welch_rejections(*moments, 0.05)
         # one bad test among 40: welch_rejections screens the other 39 of the
-        # first set and sends all 40 degenerate ones of the second to welch_p_values
+        # first set and sends all 40 degenerate ones of the second to the scalar test
         columns = [np.full(40, float(m)) for m in base]
         columns[position][17] = bad
-        with pytest.raises(ValueError, match="finite"):
-            welch_p_values(*columns)
         with pytest.raises(ValueError, match="finite"):
             welch_rejections(*columns, 0.05)
 
