@@ -20,13 +20,14 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import groupby
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import EmptyLog, ParseError, ShapeError
 from .monitor import RETRAIN_LABELS
 from .schema import parse_stamp, stamp_line
-from .streams import write_table
+from .streams import table_file, write_table
 
 
 def squared_loss_batch(actuals, forecasts) -> np.ndarray:
@@ -255,6 +256,9 @@ def write_report_json(report: Report, path: str) -> None:
 FORECAST_COLUMNS = ["stream_id", "batch_index", "q", "tick", "forecast", "actual", "loss"]
 EVENT_COLUMNS = ["stream_id", "batch_index", "policy", "decision", "p_value", "statistic"]
 TIMING_COLUMNS = ["stream_id", "batch_index", "retrain_seconds"]
+# csv.writer(...).writerow returns what the file's write returned: here the line.
+_csv_line = csv.writer(SimpleNamespace(write=str)).writerow
+_CSV_END = csv.excel.lineterminator
 
 
 def write_runlog(log: RunLog, outdir: str) -> None:
@@ -265,16 +269,17 @@ def write_runlog(log: RunLog, outdir: str) -> None:
     starts with the log's stamp and lists the records in log order.
     """
     os.makedirs(outdir, exist_ok=True)
-
-    def forecast_rows():
+    with table_file(os.path.join(outdir, "forecasts.csv"), FORECAST_COLUMNS,
+                    log.stamp) as handle:
         for r in log.records:
-            first_tick = r.batch_end - r.forecasts.size + 1
-            for q, values in enumerate(zip(r.forecasts.tolist(), r.actuals.tolist(),
-                                           r.losses.tolist())):
-                yield (r.stream_id, r.batch_index, q + 1, first_tick + q, *values)
-
-    write_table(os.path.join(outdir, "forecasts.csv"), FORECAST_COLUMNS, forecast_rows(),
-                stamp=log.stamp)
+            # The key goes through csv.writer, which quotes it as needed; the
+            # other fields are ints and float reprs, which csv.writer writes as is.
+            key = _csv_line((r.stream_id, r.batch_index)).removesuffix(_CSV_END)
+            offset = r.batch_end - r.forecasts.size   # tick of forecast q: offset + q
+            handle.write("".join(
+                f"{key},{q},{offset + q},{forecast!r},{actual!r},{loss!r}{_CSV_END}"
+                for q, (forecast, actual, loss) in enumerate(
+                    zip(r.forecasts.tolist(), r.actuals.tolist(), r.losses.tolist()), start=1)))
     write_table(os.path.join(outdir, "events.csv"), EVENT_COLUMNS,
                 ((r.stream_id, r.batch_index, log.policy_name, r.decision, _fmt(r.p_value),
                   _fmt(r.statistic)) for r in log.records),

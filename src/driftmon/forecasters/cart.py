@@ -8,18 +8,32 @@ is fully deterministic given the rows and candidate features. A leaf holds
 the weighted mean of its training targets.
 
 ``grow_tree`` grows a block of trees together, level by level, on columns
-sorted once per fit (``SortedColumns``, after the presorted attribute lists
-of SLIQ and SPRINT). Each tree's rows enter as integer weights, so a
-bootstrap is a count per row. At each depth, the samples of every (open
-node, candidate feature) pair are laid out by one integer sort of
-(candidate, rank in its feature) keys per group of whole trees (about
-``SCORE_SAMPLES`` samples), a fixed number of whole-array numpy calls per
-group scores all their splits, and each split node's rows are then divided
-stably between its children. With per-split feature
-sampling, each tree draws the candidate features of its open nodes from its
-own generator, one level at a time in node order. No tree's arithmetic
-involves another's values, so a tree does not depend on which block it was
-grown in.
+prepared once per fit (``SortedColumns``: continuous columns sorted, after
+the presorted attribute lists of SLIQ and SPRINT, and binary ones indexed
+by their rarer value). Each tree's rows enter as integer weights, so a
+bootstrap is a count per row. At each depth, each open node's best split
+is found on two paths, by candidate column kind:
+
+- a *continuous* column (three or more distinct values): per group of
+  whole trees (about ``SCORE_SAMPLES`` candidate samples), the samples of
+  every (open node, candidate feature) pair are laid out by one integer
+  sort of (candidate, rank in its feature) keys, and running sums score
+  every threshold;
+- a *binary* column (two distinct values, such as a day-of-week or hour
+  dummy) has one threshold. Once per level, two bincounts over the
+  samples' entries on each binary column's rarer value give every node's
+  weight and target sum on that value, as SLIQ's count matrix does for
+  categorical attributes; no sample is sorted or gathered per column.
+
+The paths add a node's sums in different orders, so between splits whose
+gains are equal up to rounding, which one wins may differ from growth that
+sorts every column.
+
+Each split node's rows are then divided stably between its children. With
+per-split feature sampling, each tree draws the candidate features of its
+open nodes from its own generator, one level at a time in node order. No
+tree's arithmetic involves another's values, so a tree does not depend on
+which block it was grown in.
 
 Trees are written straight into ``FlatTree`` node arrays; growth, boosting
 shrinkage, prediction and the text dump all work on those arrays.
@@ -30,9 +44,11 @@ from __future__ import annotations
 import numpy as np
 
 _NODE_ARRAYS = ("feature", "threshold", "child", "value", "n_samples")
-# About how many candidate samples are scored together (whole trees at a
-# time). It bounds the grower's peak memory, a few tens of bytes per sample,
-# and keeps the scoring arrays small enough to stay in cache.
+# About how many continuous candidate samples are scored together (whole
+# trees at a time). It bounds the sort path's peak memory, a few tens of
+# bytes per sample, and keeps its scoring arrays small enough to stay in
+# cache. The binary path's arrays span a level's rare entries: in the
+# calendar design, at most one per sample and dummy block.
 SCORE_SAMPLES = 1 << 14
 
 
@@ -104,23 +120,48 @@ class FlatTree:
 
 
 class SortedColumns:
-    """The columns of a design matrix, each sorted once (ties by row).
+    """The columns of a design matrix by kind, the continuous ones each sorted once.
 
-    Flat arrays address place i of column f at ``f * n + i``: ``order``
-    holds the row at that place, ``xs`` its value, and ``rank[f * n + r]``
-    is the place of row r in column f.
+    A column with three or more distinct values is continuous: ``slot[f]``
+    is its index s among the continuous columns (-1 for any other column).
+    Flat arrays address place i of continuous column s at ``s * n + i``:
+    ``order`` holds the row at that place (ties by row), ``xs`` its value,
+    and ``rank[s * n + r]`` is the place of row r in column s.
+
+    A column with exactly two distinct values is binary: ``binary[f]`` is
+    its index b among the binary columns (-1 for any other column), and
+    ``binary_threshold[b]`` its one split threshold. Row r sits on the rarer
+    value of the binary columns ``rare_column[rare_start[r]:rare_start[r + 1]]``;
+    ``rare_left[b]`` says whether that rarer value is the lower one. A
+    constant column is neither and never splits.
     """
 
-    __slots__ = ("n", "order", "rank", "xs")
+    __slots__ = ("n", "slot", "order", "rank", "xs", "binary", "binary_threshold", "rare_left",
+                 "rare_start", "rare_column")
 
     def __init__(self, X: np.ndarray):
-        order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        self.n = X.shape[0]
+        self.n = n = X.shape[0]
+        low, high = X.min(axis=0), X.max(axis=0)
+        is_low = X == low
+        two = (is_low | (X == high)).all(axis=0) & (low < high)
+        continuous = np.flatnonzero(~two & ~(low == high))
+        self.slot = np.full(X.shape[1], -1, dtype=np.intp)
+        self.slot[continuous] = np.arange(continuous.size)
+        order = np.ascontiguousarray(np.argsort(X[:, continuous], axis=0, kind="stable").T)
         self.order = order.ravel()
         rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(self.n), axis=1)
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
         self.rank = rank.ravel()
-        self.xs = np.take_along_axis(X.T, order, axis=1).ravel()
+        self.xs = np.take_along_axis(X[:, continuous].T, order, axis=1).ravel()
+
+        binary = np.flatnonzero(two)
+        self.binary = np.full(X.shape[1], -1, dtype=np.intp)
+        self.binary[binary] = np.arange(binary.size)
+        self.binary_threshold = _threshold(low[binary], high[binary])
+        is_low = is_low[:, binary]
+        self.rare_left = 2 * is_low.sum(axis=0) <= n
+        row, self.rare_column = np.nonzero(is_low == self.rare_left)
+        self.rare_start = np.searchsorted(row, np.arange(n + 1))
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
@@ -186,11 +227,22 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
         if nodes.size:
             drawn = (pool[_draw_features(rngs, tree_of[nodes], pool.size, mtry)] if draw
                      else np.tile(pool, (nodes.size, 1)))
-            # Whole trees at a time, so the arrays over candidate samples stay small.
-            parts = [_best_splits(columns, wy, rows, nodes[group], drawn[group], start, count,
-                                  n_w, total, tree_of, min_leaf, min_gain)
-                     for group in _tree_groups(tree_of[nodes], count[nodes] * drawn.shape[1])]
-            nodes, feature, threshold = (np.concatenate(a) for a in zip(*parts))
+            paths = []
+            pos, col = np.nonzero(columns.slot[drawn] >= 0)
+            if pos.size:
+                c_node, c_feature = nodes[pos], drawn[pos, col]
+                # Whole trees at a time, so the arrays over candidate samples stay small.
+                parts = [_best_splits(columns, wy, rows, c_node[group], c_feature[group], start,
+                                      count, n_w, total, tree_of, min_leaf)
+                         for group in _tree_groups(tree_of[c_node], count[c_node])]
+                paths.append([np.concatenate(a) for a in zip(*parts)])
+            binary = columns.binary[drawn]
+            pos, col = np.nonzero(binary >= 0)
+            if pos.size:
+                paths.append(_binary_splits(columns, w, yw, rows, samples, count, nodes[pos],
+                                            binary[pos, col], drawn[pos, col], n_w, total,
+                                            min_leaf))
+            nodes, feature, threshold = _pick_splits(paths, n_w, total, min_gain)
         if not nodes.size:
             break
         level["split"][nodes] = True
@@ -210,26 +262,43 @@ def _draw_features(rngs, node_tree: np.ndarray, n_feat: int, mtry: int) -> np.nd
     """
     first = _run_starts(node_tree)
     keys = np.concatenate([rngs[node_tree[i]].random((m, n_feat))
-                           for i, m in zip(first, np.diff(first, append=node_tree.size))])
+                           for i, m in zip(first, _run_lengths(first, node_tree.size))])
     return np.sort(np.argsort(keys, axis=1)[:, :mtry], axis=1)
 
 
-def _best_splits(columns: SortedColumns, wy, rows, nodes, drawn, start, count, n_w, total,
-                 tree_of, min_leaf, min_gain):
-    """The open nodes in ``nodes`` that split, with their feature and threshold.
+def _pick_splits(paths, n_w, total, min_gain):
+    """The nodes that split, ascending, with their feature and threshold.
 
-    ``drawn`` holds each node's candidate features, ascending. A candidate
-    is an (open node, drawn feature) pair. One sort of (candidate, rank in
-    the feature) keys lays the candidates out node-major with features
-    ascending, each as its node's samples in ascending order of its
-    feature, so the first best-scoring split of a node is its lowest
-    feature's lowest threshold. Arrays over all candidate samples set the
-    grower's peak memory, so few of them live at once.
+    Each path gives at most one best split per node, as (node, score,
+    feature, threshold) arrays ascending by node. Of a node's splits the
+    higher score wins, on equal scores the lower feature; the winner is
+    taken when its gain exceeds min_gain.
+    """
+    if not paths:
+        return (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+    node, score, feature, threshold = (np.concatenate(a) for a in zip(*paths))
+    if len(paths) > 1 and node.size:
+        order = np.lexsort((feature, node))
+        pick = order[_first_best(node[order], score[order])]
+        node, score, feature, threshold = node[pick], score[pick], feature[pick], threshold[pick]
+    keep = score - total[node] ** 2 / n_w[node] > min_gain
+    return node[keep], feature[keep], threshold[keep]
+
+
+def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, count, n_w, total,
+                 tree_of, min_leaf):
+    """Each node's best split over its continuous candidates: (node, score, feature, threshold).
+
+    A candidate is an (open node, feature) pair; ``c_node`` and
+    ``c_feature`` list them node-major with features ascending. One sort of
+    (candidate, rank in the feature) keys lays each candidate out as its
+    node's samples in ascending order of its feature, so the first
+    best-scoring split of a node is its lowest feature's lowest threshold.
+    Arrays over all candidate samples set the grower's peak memory, so few
+    of them live at once.
     """
     n = columns.n
-    width = drawn.shape[1]
-    c_feature = drawn.ravel()
-    c_node = np.repeat(nodes, width)
+    c_slot = columns.slot[c_feature]
     c_count = count[c_node]
     c_start = np.cumsum(c_count) - c_count
 
@@ -237,11 +306,11 @@ def _best_splits(columns: SortedColumns, wy, rows, nodes, drawn, start, count, n
         return np.repeat(per_candidate, c_count)
 
     key = rows[np.arange(c_start[-1] + c_count[-1]) + each_sample(start[c_node] - c_start)]
-    key += each_sample(c_feature * n)
+    key += each_sample(c_slot * n)
     key = columns.rank[key]
-    key += each_sample(np.arange(c_feature.size) * n)
+    key += each_sample(np.arange(c_slot.size) * n)
     key.sort()
-    key += each_sample((c_feature - np.arange(c_feature.size)) * n)  # place in sorted columns
+    key += each_sample((c_slot - np.arange(c_slot.size)) * n)        # place in sorted columns
     x = columns.xs[key]
     key = columns.order[key]
     key += each_sample(tree_of[c_node] * n)                          # sample number
@@ -257,27 +326,74 @@ def _best_splits(columns: SortedColumns, wy, rows, nodes, drawn, start, count, n
     sums = running[after] - before[c_after]
     del running
     k, left = sums.imag, sums.real
-    n_c = n_w[c_node[c_after]]
+    node = c_node[c_after]
+    n_c = n_w[node]
     keep = (k >= min_leaf) & (n_c - k >= min_leaf)
-    after, c_after, k, left, n_c = after[keep], c_after[keep], k[keep], left[keep], n_c[keep]
+    after, c_after, node, k, left, n_c = (a[keep] for a in (after, c_after, node, k, left, n_c))
     if not after.size:
-        return after, after, x[after]   # no node splits
-    right = total[c_node[c_after]] - left
-    # SSE reduction up to the node's constant total^2 / n, subtracted below.
-    score = left * left / k + right * right / (n_c - k)
+        return after, k, after, k   # no node splits
+    score = _score(left, k, total[node], n_c)
+    pick = _first_best(node, score)
+    return (node[pick], score[pick], c_feature[c_after[pick]],
+            _threshold(x[after[pick]], x[after[pick] + 1]))
 
-    node_pos = c_after // width
-    first = _run_starts(node_pos)
-    best = np.maximum.reduceat(score, first)
-    is_best = score == np.repeat(best, np.diff(first, append=score.size))
-    pick = np.minimum.reduceat(np.where(is_best, np.arange(score.size), score.size), first)
-    split_nodes = nodes[node_pos[first]]
-    gains = best - total[split_nodes] ** 2 / n_w[split_nodes]
-    pick = pick[gains > min_gain]
-    v1, v2 = x[after[pick]], x[after[pick] + 1]
+
+def _binary_splits(columns: SortedColumns, w, yw, rows, samples, count, c_node, b, c_feature,
+                   n_w, total, min_leaf):
+    """Each node's best split over its binary candidates: (node, score, feature, threshold).
+
+    Candidate i is binary column ``b[i]`` (feature ``c_feature[i]``) at node
+    ``c_node[i]``, listed node-major with features ascending. Two bincounts
+    over the level's samples' rare entries, keyed by (node, binary column),
+    give every node's weight and weighted target sum on each binary
+    column's rarer value, in sample order and with no sort; the other
+    value's follow from the node's totals. A binary column's one split
+    sends its lower value left.
+    """
+    n_binary = columns.binary_threshold.size
+    lo = columns.rare_start[rows]
+    m = columns.rare_start[rows + 1] - lo                # rare entries per sample
+    first = np.cumsum(m) - m
+    entry = np.arange(first[-1] + m[-1]) + np.repeat(lo - first, m)
+    key = columns.rare_column[entry]
+    key += np.repeat(np.repeat(np.arange(count.size) * n_binary, count), m)
+    samples = np.repeat(samples, m)
+    cell = c_node * n_binary + b
+    k = np.bincount(key, w[samples], count.size * n_binary)[cell]
+    left = np.bincount(key, yw[samples], count.size * n_binary)[cell]
+
+    n_c, node_total = n_w[c_node], total[c_node]
+    rare_right = ~columns.rare_left[b]
+    k = np.where(rare_right, n_c - k, k)
+    left = np.where(rare_right, node_total - left, left)
+    keep = (k >= min_leaf) & (n_c - k >= min_leaf)
+    node, k, left, n_c, node_total, feature, b = (
+        a[keep] for a in (c_node, k, left, n_c, node_total, c_feature, b))
+    if not node.size:
+        return node, k, feature, k   # no node splits
+    score = _score(left, k, node_total, n_c)
+    pick = _first_best(node, score)
+    return node[pick], score[pick], feature[pick], columns.binary_threshold[b[pick]]
+
+
+def _score(left, k, total, n):
+    """SSE reduction of a split, up to the node's constant total^2 / n."""
+    right = total - left
+    return left * left / k + right * right / (n - k)
+
+
+def _threshold(v1, v2):
+    """Midpoint of the values either side of a split; v1 when it rounds up to v2."""
     mid = 0.5 * (v1 + v2)
-    threshold = np.where(mid >= v2, v1, mid)   # midpoint rounded up to v2: the left value
-    return split_nodes[gains > min_gain], c_feature[c_after[pick]], threshold
+    return np.where(mid >= v2, v1, mid)
+
+
+def _first_best(key, score):
+    """Index of the first highest score in each run of equal ``key`` values."""
+    first = _run_starts(key)
+    best = np.maximum.reduceat(score, first)
+    is_best = score == np.repeat(best, _run_lengths(first, score.size))
+    return np.minimum.reduceat(np.where(is_best, np.arange(score.size), score.size), first)
 
 
 def _running_sums(values: np.ndarray, seg_start: np.ndarray, seg_tree: np.ndarray):
@@ -296,17 +412,25 @@ def _running_sums(values: np.ndarray, seg_start: np.ndarray, seg_tree: np.ndarra
     return before
 
 
-def _tree_groups(node_tree: np.ndarray, node_samples: np.ndarray) -> list[slice]:
-    """Runs of whole trees' open nodes, each of about SCORE_SAMPLES candidate samples."""
-    first = _run_starts(node_tree)
-    size = np.add.reduceat(node_samples, first)
+def _tree_groups(c_tree: np.ndarray, c_samples: np.ndarray) -> list[slice]:
+    """Runs of whole trees' candidates, each of about SCORE_SAMPLES candidate samples."""
+    first = _run_starts(c_tree)
+    size = np.add.reduceat(c_samples, first)
     cut = first[_run_starts((np.cumsum(size) - size) // SCORE_SAMPLES)]
-    return [slice(a, b) for a, b in zip(cut, np.append(cut[1:], node_tree.size))]
+    return [slice(a, b) for a, b in zip(cut, np.append(cut[1:], c_tree.size))]
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Index at which each run of equal values in the nonempty ``a`` starts."""
-    return np.concatenate(([0], np.flatnonzero(a[1:] != a[:-1]) + 1))
+    starts = np.empty(a.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts.nonzero()[0]
+
+
+def _run_lengths(first: np.ndarray, size: int) -> np.ndarray:
+    """Length of each run, from the runs' starts and the total length."""
+    return np.append(first[1:], size) - first
 
 
 def _partition(X: np.ndarray, rows, count, split, feature, threshold):

@@ -8,9 +8,12 @@ no other tree's values, so a tree does not depend on how many trees are
 grown beside it.
 
 Forest and boosting both grow their trees with ``cart.grow_tree`` on one
-sort of the design columns per fit (``SortedColumns``): the forest in blocks of
-``FOREST_BLOCK`` trees, boosting one tree per round. An ensemble keeps all
-its trees in one ``FlatTree`` node table and predicts with one walk over it.
+``SortedColumns`` of the design per fit: the forest in blocks of
+``FOREST_BLOCK`` trees, boosting one tree per round. It sorts the columns
+of three or more distinct values once, and marks the two-valued columns
+(the calendar dummies), whose one split the grower scores from per-node
+sums over each column's rarer value instead of a sorted layout. An ensemble keeps all its trees in one ``FlatTree`` node table and
+predicts with one walk over it.
 """
 
 from __future__ import annotations

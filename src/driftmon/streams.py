@@ -3,13 +3,15 @@
 Ticks are abstract 1-based integers at the base frequency (e.g. quarter
 hours); calendar structure is a feature-construction concern and lives in
 :mod:`driftmon.features`. A StreamSet is immutable after construction and
-safe to share across workers. ``write_table`` writes every CSV file the
-package emits.
+safe to share across workers. Every CSV file the package emits is opened by
+``table_file`` and, unless the caller formats its own lines, written by
+``write_table``.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,17 +134,24 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
                      slots_per_batch=slots_per_batch)
 
 
-def write_table(path: str, header, rows, stamp: str | None = None) -> None:
-    """Write a CSV table: the ``# stamp`` line when given, the header, the rows.
+@contextmanager
+def table_file(path: str, header, stamp: str | None = None):
+    """Open a CSV table for writing, with the ``# stamp`` line when given and the header.
 
-    Readers skip ``#`` lines.
+    Yields the text handle; lines written to it must end as ``csv.writer``
+    rows end, in carriage return and line feed. Readers skip ``#`` lines.
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if stamp:
             handle.write(f"# {stamp}\n")
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        yield handle
+
+
+def write_table(path: str, header, rows, stamp: str | None = None) -> None:
+    """Write a CSV table: the ``# stamp`` line when given, the header, the rows."""
+    with table_file(path, header, stamp) as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def write_csv(stream_set: StreamSet, path: str, header_comment: str | None = None) -> None:

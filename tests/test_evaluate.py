@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from driftmon.errors import EmptyLog, ParseError, ShapeError
 from driftmon.evaluate import (
+    FORECAST_COLUMNS,
     BatchRecord,
     RunLog,
     build_report,
@@ -20,6 +21,7 @@ from driftmon.evaluate import (
     write_runlog,
 )
 from driftmon.monitor import POLICIES, RETRAIN_LABELS, EveryKBatches, new_state, observe
+from driftmon.streams import write_table
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 
@@ -181,6 +183,28 @@ def test_read_runlog_derives_losses_and_ignores_loss_column(tmp_path):
                     + "\n")
     again = read_runlog(str(out)).records[0]
     assert np.array_equal(again.losses, log.records[0].losses)
+
+
+def test_forecasts_csv_is_what_csv_writer_writes(tmp_path):
+    # Stream ids that csv.writer must quote, and floats whose reprs are
+    # unusual: forecasts.csv must be the bytes of the plain table writer.
+    values = [-0.0, 5e-324, 1e16, 1e-5]
+    log = RunLog(stream_ids=("a,b", 'say "hi"', "cr\rid", "lf\nid", ""), horizon=4,
+                 policy_name="never", forecaster="naive", seed=5, config_hash="c0ffee")
+    for batch in (1, 2):
+        for k, stream in enumerate(log.stream_ids):
+            log.append(record(stream, batch, np.roll(values, k), np.roll(values, batch + k)))
+    write_runlog(log, str(tmp_path / "log"))
+    write_table(str(tmp_path / "want.csv"), FORECAST_COLUMNS,
+                ((r.stream_id, r.batch_index, q + 1, r.batch_end - r.forecasts.size + 1 + q,
+                  *values)
+                 for r in log.records
+                 for q, values in enumerate(zip(r.forecasts.tolist(), r.actuals.tolist(),
+                                                r.losses.tolist()))),
+                stamp=log.stamp)
+    got = (tmp_path / "log" / "forecasts.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b'"a,b"' in got and b'"say ""hi"""' in got and b"\n,1,1," in got
 
 
 def test_report_files(tmp_path):

@@ -154,6 +154,63 @@ def test_grower_matches_recursive_reference(data, min_leaf, max_depth, min_gain)
         assert_same_tree(nested(block.tree(t)), want)
 
 
+# Binary-heavy designs, as the calendar dummies make them. Each column is one
+# of: a one-hot dummy block (first level dropped), two adjacent floats (the
+# midpoint of the first pair rounds to its lower value, of the second up to
+# its upper one), the three values {-0.0, 0.0, 1.0} (two distinct), a
+# constant, or a few-valued continuous column. Integer targets and weights keep every sum exact, so the
+# binary path's bincounts and the reference's running sums agree exactly.
+@st.composite
+def binary_heavy_designs(draw):
+    n = draw(st.integers(2, 24))
+    columns = []
+    while len(columns) < draw(st.integers(1, 6)):
+        kind = draw(st.sampled_from(["dummies", "adjacent", "zeros", "constant", "continuous"]))
+        if kind == "dummies":
+            levels = draw(st.integers(2, 4))
+            level = draw(arrays(np.int64, n, elements=st.integers(0, levels - 1)))
+            columns.extend((level == k).astype(float) for k in range(1, levels))
+        elif kind == "adjacent":
+            pair = draw(st.sampled_from([(1.0, 1.0 + 2.0 ** -52),
+                                         (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51)]))
+            columns.append(draw(arrays(np.float64, n, elements=st.sampled_from(pair))))
+        elif kind == "zeros":
+            columns.append(draw(arrays(np.float64, n, elements=st.sampled_from([-0.0, 0.0, 1.0]))))
+        elif kind == "constant":
+            columns.append(np.full(n, draw(st.sampled_from([-1.0, 0.0, 2.5]))))
+        else:
+            columns.append(draw(arrays(np.float64, n, elements=_values)))
+    X = np.column_stack(columns)
+    y = draw(arrays(np.float64, n, elements=st.integers(-6, 6).map(float)))
+    n_trees = draw(st.integers(1, 3))
+    weights = draw(arrays(np.int64, (n_trees, n), elements=st.integers(0, 3)))
+    weights[:, draw(st.integers(0, n - 1))] += 1
+    pool = draw(st.none() | st.lists(st.integers(0, X.shape[1] - 1), min_size=1, unique=True))
+    return X, y, weights, None if pool is None else np.sort(pool)
+
+
+def renumbered(tree, pool):
+    """A nested tree over the columns ``pool`` of a design, with features as its columns."""
+    if tree[0] == "leaf":
+        return tree
+    return ("split", int(pool[tree[1]]), *tree[2:4], renumbered(tree[4], pool),
+            renumbered(tree[5], pool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=binary_heavy_designs(), min_leaf=st.integers(1, 4),
+       max_depth=st.sampled_from([None, 1, 2, 3]), min_gain=st.sampled_from([0.0, 0.5, 4.0]))
+def test_grower_matches_reference_on_binary_heavy_designs(data, min_leaf, max_depth, min_gain):
+    X, y, weights, pool = data
+    block = grow_tree(X, y, weights, min_leaf=min_leaf, max_depth=max_depth, min_gain=min_gain,
+                      feature_pool=pool)
+    pool = np.arange(X.shape[1]) if pool is None else pool
+    for t in range(weights.shape[0]):
+        want = reference_tree(X[:, pool], y, weights[t], min_leaf=min_leaf, max_depth=max_depth,
+                              min_gain=min_gain)
+        assert_same_tree(nested(block.tree(t)), renumbered(want, pool))
+
+
 def assert_same_arrays(a, b):
     for name in ("feature", "threshold", "child", "value", "n_samples", "depths"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -175,6 +232,22 @@ def test_tree_grown_alone_equals_tree_grown_after_others():
     rng = np.random.default_rng(23)
     x = rng.normal(size=200)
     X = np.column_stack([x, -x, rng.normal(size=200)])
+    y = 1000.0 + rng.normal(size=200)
+    weights = np.array([np.bincount(rng.integers(0, 200, size=200), minlength=200)
+                        for _ in range(6)])
+    block = grow_tree(X, y, weights, min_leaf=2)
+    for t in range(6):
+        assert_same_arrays(grow_tree(X, y, weights[t], min_leaf=2), block.tree(t))
+
+
+def test_tree_grown_alone_equals_tree_grown_in_block_with_binary_twins():
+    # Columns 0 and 1 are a dummy and its complement: every split of one has
+    # an equal-gain twin in the other, whose left side is the other's right
+    # side and whose sums come from the other value's counts, so rounding
+    # decides between them. Column 2 is continuous.
+    rng = np.random.default_rng(29)
+    d = (rng.random(200) < 0.3).astype(float)
+    X = np.column_stack([d, 1.0 - d, rng.normal(size=200)])
     y = 1000.0 + rng.normal(size=200)
     weights = np.array([np.bincount(rng.integers(0, 200, size=200), minlength=200)
                         for _ in range(6)])
