@@ -17,8 +17,9 @@ is found on two paths, by candidate column kind:
 - a *continuous* column (three or more distinct values): per group of
   whole trees (about ``SCORE_SAMPLES`` candidate samples), the samples of
   every (open node, candidate feature) pair are laid out by one integer
-  sort of (candidate, rank in its feature) keys, and running sums score
-  every threshold;
+  sort of (candidate, rank in its feature) keys, running sums give the
+  left side of a split after every position, and every position is scored
+  at once, those that cannot split at -inf, with no search or compaction;
 - a *binary* column (two distinct values, such as a day-of-week or hour
   dummy) has one threshold. Once per level, two bincounts over the
   samples' entries on each binary column's rarer value give every node's
@@ -292,10 +293,13 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     A candidate is an (open node, feature) pair; ``c_node`` and
     ``c_feature`` list them node-major with features ascending. One sort of
     (candidate, rank in the feature) keys lays each candidate out as its
-    node's samples in ascending order of its feature, so the first
-    best-scoring split of a node is its lowest feature's lowest threshold.
-    Arrays over all candidate samples set the grower's peak memory, so few
-    of them live at once.
+    node's samples in ascending order of its feature. Every position is
+    scored as a split after it, -inf where it is not admissible; a node's
+    candidates are contiguous, so two reductions over its positions find
+    its first best split, its lowest feature's lowest threshold, and only
+    the winners are mapped back to their candidates. Arrays over all
+    candidate samples set the grower's peak memory, so few of them live at
+    once.
     """
     n = columns.n
     c_slot = columns.slot[c_feature]
@@ -317,25 +321,29 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     running = wy[key]
     del key
     before = _running_sums(running, c_start, tree_of[c_node])
+    running -= each_sample(before)
+    k, left = running.imag, running.real
+    n_c = each_sample(n_w[c_node])
 
-    # A split after position i needs x to rise to position i + 1 and leaves
-    # k samples, of targets summing to left, on the left; both sides must
-    # keep min_leaf samples.
-    after = np.flatnonzero(x[1:] > x[:-1])
-    c_after = np.searchsorted(c_start, after, side="right") - 1
-    sums = running[after] - before[c_after]
-    del running
-    k, left = sums.imag, sums.real
-    node = c_node[c_after]
-    n_c = n_w[node]
-    keep = (k >= min_leaf) & (n_c - k >= min_leaf)
-    after, c_after, node, k, left, n_c = (a[keep] for a in (after, c_after, node, k, left, n_c))
-    if not after.size:
-        return after, k, after, k   # no node splits
-    score = _score(left, k, total[node], n_c)
-    pick = _first_best(node, score)
-    return (node[pick], score[pick], c_feature[c_after[pick]],
-            _threshold(x[after[pick]], x[after[pick] + 1]))
+    # A split after position i leaves k samples, of targets summing to left,
+    # on the left. It needs x to rise to position i + 1 and both sides to keep
+    # min_leaf samples; a candidate's last position keeps none on the right.
+    ok = np.empty(x.size, dtype=bool)
+    np.greater(x[1:], x[:-1], out=ok[:-1])
+    ok[-1] = False
+    ok &= k >= min_leaf
+    ok &= n_c - k >= min_leaf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = _score(left, k, each_sample(total[c_node]), n_c)
+    score[~ok] = -np.inf
+    del running, k, left, n_c, ok
+    # A node's candidates, hence its positions, are contiguous; a node whose
+    # best score is -inf has no admissible split.
+    pick = _first_best_in_runs(c_start[_run_starts(c_node)], score)
+    pick = pick[score[pick] > -np.inf]
+    c_pick = np.searchsorted(c_start, pick, side="right") - 1
+    return (c_node[c_pick], score[pick], c_feature[c_pick],
+            _threshold(x[pick], x[pick + 1]))
 
 
 def _binary_splits(columns: SortedColumns, w, yw, rows, samples, count, c_node, b, c_feature,
@@ -390,7 +398,11 @@ def _threshold(v1, v2):
 
 def _first_best(key, score):
     """Index of the first highest score in each run of equal ``key`` values."""
-    first = _run_starts(key)
+    return _first_best_in_runs(_run_starts(key), score)
+
+
+def _first_best_in_runs(first, score):
+    """Index of the first highest score in each run of ``score`` starting at ``first``."""
     best = np.maximum.reduceat(score, first)
     is_best = score == np.repeat(best, _run_lengths(first, score.size))
     return np.minimum.reduceat(np.where(is_best, np.arange(score.size), score.size), first)

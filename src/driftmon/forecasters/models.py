@@ -8,12 +8,14 @@ no other tree's values, so a tree does not depend on how many trees are
 grown beside it.
 
 Forest and boosting both grow their trees with ``cart.grow_tree`` on one
-``SortedColumns`` of the design per fit: the forest in blocks of
-``FOREST_BLOCK`` trees, boosting one tree per round. It sorts the columns
-of three or more distinct values once, and marks the two-valued columns
-(the calendar dummies), whose one split the grower scores from per-node
-sums over each column's rarer value instead of a sorted layout. An ensemble keeps all its trees in one ``FlatTree`` node table and
-predicts with one walk over it.
+``SortedColumns`` of the design: the forest in blocks of ``FOREST_BLOCK``
+trees, boosting one tree per round. It sorts the columns of three or more
+distinct values once, and marks the two-valued columns (the calendar
+dummies), whose one split the grower scores from per-node sums over each
+column's rarer value instead of a sorted layout. A fit builds it unless its
+caller passes one (``columns=``): fits on one design, such as every
+stream's fit at one batch end, can share it. An ensemble keeps all its
+trees in one ``FlatTree`` node table and predicts with one walk over it.
 """
 
 from __future__ import annotations
@@ -145,13 +147,14 @@ def fit_lasso(data: DesignMatrix, hp: HyperParams, trained_at: int = 0) -> Forec
                          trained_at=trained_at, payload=fit)
 
 
-def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
-               trained_at: int = 0) -> ForecastModel:
+def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,
+               columns: SortedColumns | None = None) -> ForecastModel:
     """Bagged CART regression trees with per-split feature sampling.
 
     Tree t's generator ``default_rng((seed, t))`` draws its bootstrap, then
     its nodes' candidate features level by level. Trees are grown in blocks
-    of ``FOREST_BLOCK``.
+    of ``FOREST_BLOCK``. ``columns`` is ``SortedColumns(data.X)``, made here
+    when not given.
     """
     n, p = data.X.shape
     params = hp.forest
@@ -161,7 +164,8 @@ def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
         )
     mtry = params.mtry if params.mtry is not None else max(1, p // 3)
     mtry = min(mtry, p)
-    columns = SortedColumns(data.X)
+    if columns is None:
+        columns = SortedColumns(data.X)
     blocks = []
     for first in range(0, params.n_trees, FOREST_BLOCK):
         rngs = [np.random.default_rng((seed, t))
@@ -178,13 +182,14 @@ def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int,
                          payload=EnsemblePayload(nodes=FlatTree.concat(blocks)))
 
 
-def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
-                 trained_at: int = 0) -> ForecastModel:
+def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,
+                 columns: SortedColumns | None = None) -> ForecastModel:
     """Gradient boosting on squared error: shallow trees fit to residuals.
 
     The ensemble starts from the target mean; each round adds a depth-capped
     tree fit to the current residuals, its leaf values shrunk by the learning
-    rate before they are stored.
+    rate before they are stored. ``columns`` is ``SortedColumns(data.X)``,
+    made here when not given.
     """
     n, p = data.X.shape
     params = hp.boosting
@@ -195,7 +200,8 @@ def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int,
     min_leaf = max(1, math.ceil(params.min_child_weight))
     n_cols = max(1, round(params.colsample * p))
     n_rows = max(1, math.floor(params.subsample * n))
-    columns = SortedColumns(data.X)
+    if columns is None:
+        columns = SortedColumns(data.X)
     trees = []
     for m in range(params.n_rounds):
         rng = np.random.default_rng((seed, m))

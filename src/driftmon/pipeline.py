@@ -10,7 +10,10 @@ batch is scored for accuracy but carries no decision: no forecast follows it.
 
 Every run is a pure function of (config, seed): model seeds derive from
 (seed, stream, fit tick), so logs reproduce bit-identically, wall-clock
-timings aside. Compared runs are stepped together through the same batch
+timings aside. All streams' training windows at a batch end hold the same
+ticks, so the refits there share one design matrix (only the targets
+differ), built once per refit tick, and the forest and boosting fits share
+its sorted columns. Compared runs are stepped together through the same batch
 ends: policies that refit a stream at the same tick get the same model,
 their common random numbers, which is fit once and shared. A compared run's
 log therefore equals its solo run's, and any accuracy gap between policies
@@ -20,7 +23,7 @@ comes only from when they refit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .features import DesignMatrix, FeatureSpec, feature_matrix, training_set
 from .forecasters import (
     ForecastModel,
     HyperParams,
+    SortedColumns,
     fit_boosting,
     fit_forest,
     fit_lasso,
@@ -199,19 +203,66 @@ def _fit_seed(master_seed: int, stream_index: int, trained_at: int) -> int:
     return int(np.random.SeedSequence((master_seed, stream_index, trained_at)).generate_state(1)[0])
 
 
-def _fit_model(config: RunConfig, data: DesignMatrix, stream_id: str,
-               stream_index: int, trained_at: int) -> ForecastModel:
-    kind = config.forecaster
+class _RefitTick:
+    """The fits made at one batch end, and the training design they share.
+
+    Every stream's window holds the same ticks, so the same design X; only
+    the targets differ. ``training_set`` builds X once, for the first fit
+    that needs a design, and X is then read-only, so a fit that wrote to it
+    would fail loudly. ``SortedColumns(X)`` is made once, for the first
+    forest or boosting fit.
+    """
+
+    def __init__(self, streams: StreamSet, spec: FeatureSpec, at_tick: int, window_days: int):
+        self.streams, self.spec = streams, spec
+        self.at_tick, self.window_days = at_tick, window_days
+        self._fits: dict = {}
+        self._design: DesignMatrix | None = None
+        self._columns: SortedColumns | None = None
+
+    def fit(self, config: RunConfig, i: int) -> tuple[ForecastModel, float]:
+        """Stream i's model under ``config``, and the seconds its one fit took.
+
+        A fit is a pure function of (forecaster, hyperparameters, naive lag,
+        stream, tick), so configs that agree on those share it.
+        """
+        key = (config.forecaster, config.hyperparams, config.naive_lag, i)
+        if key not in self._fits:
+            start = time.perf_counter()
+            model = _fit_model(config, self, i)
+            self._fits[key] = (model, time.perf_counter() - start)
+        return self._fits[key]
+
+    def design(self, i: int) -> DesignMatrix:
+        """Stream i's training window: the shared X, and stream i's targets."""
+        if self._design is None:
+            self._design = training_set(self.streams, self.spec, i, self.at_tick,
+                                        self.window_days)
+            self._design.X.flags.writeable = False
+        n = self._design.y.size   # the window's rows are its last n ticks
+        y = self.streams.values[self.at_tick - n:self.at_tick, i].copy()
+        return replace(self._design, y=y)
+
+    def columns(self) -> SortedColumns:
+        """``SortedColumns`` of the shared X, once ``design`` has built it."""
+        if self._columns is None:
+            self._columns = SortedColumns(self._design.X)
+        return self._columns
+
+
+def _fit_model(config: RunConfig, tick: _RefitTick, stream_index: int) -> ForecastModel:
+    kind, trained_at = config.forecaster, tick.at_tick
+    stream_ids = tick.streams.stream_ids
     if kind == "naive":
         return fit_naive(config.naive_lag, horizon=config.horizon,
-                         feature_names=data.column_names, target_stream=stream_id,
-                         trained_at=trained_at)
+                         feature_names=config.feature_spec.column_names(stream_ids),
+                         target_stream=stream_ids[stream_index], trained_at=trained_at)
+    data = tick.design(stream_index)
     seed = _fit_seed(config.seed, stream_index, trained_at)
     if kind == "lasso":
         return fit_lasso(data, config.hyperparams, trained_at=trained_at)
-    if kind == "forest":
-        return fit_forest(data, config.hyperparams, seed, trained_at=trained_at)
-    return fit_boosting(data, config.hyperparams, seed, trained_at=trained_at)
+    fit = fit_forest if kind == "forest" else fit_boosting
+    return fit(data, config.hyperparams, seed, trained_at=trained_at, columns=tick.columns())
 
 
 def _shift_batches(scenario: RegimeScenario, stream_ids, origins, horizon) -> dict:
@@ -282,11 +333,13 @@ def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
     """Step every config through the same batch ends; one log per config.
 
     The configs agree on everything that shapes the data, the batch ends and
-    the seed (``compare_policies`` checks that). A fit is a pure function of
-    (forecaster, hyperparameters, naive lag, stream, tick), so configs that
-    refit a stream at one batch end with the same model share one fit, and
-    each records its measured seconds. The fits of a batch end are dropped
-    after it. Every config is checked against the panel before the first fit.
+    the seed (``compare_policies`` checks that). Configs that refit a stream
+    at one batch end with the same model share one fit (``_RefitTick.fit``),
+    and each records its measured seconds. The fits of a batch end share one
+    design and one ``SortedColumns``; the time to build them is counted in
+    the seconds of the fit that builds them. The fits of a batch end are
+    dropped after it. Every config is checked against the panel before the
+    first fit.
     """
     # every config is checked; they share the panel geometry, so the origins too
     ends = [_forecast_origins(config, streams) for config in configs][0]
@@ -307,30 +360,24 @@ def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
     tokens = [[""] * n_streams for _ in configs]
     states = [[new_state(config.policy) for _ in range(n_streams)] for config in configs]
 
-    def refit(fits: dict, k: int, i: int, at_tick: int) -> float:
+    def refit(tick: _RefitTick, k: int, i: int) -> float:
         config = configs[k]
-        key = (config.forecaster, config.hyperparams, config.naive_lag, i)
-        if key not in fits:
-            start = time.perf_counter()
-            data = training_set(streams, spec, i, at_tick, window)
-            model = _fit_model(config, data, streams.stream_ids[i], i, at_tick)
-            fits[key] = (model, time.perf_counter() - start)
-        models[k][i], seconds = fits[key]
-        tokens[k][i] = f"{config.forecaster}@{at_tick}#{fit_counts[k][i]}"
+        models[k][i], seconds = tick.fit(config, i)
+        tokens[k][i] = f"{config.forecaster}@{tick.at_tick}#{fit_counts[k][i]}"
         fit_counts[k][i] += 1
         return seconds
 
-    fits: dict = {}
+    tick = _RefitTick(streams, spec, ends[0], window)
     for k in range(len(configs)):
         for i in range(n_streams):
-            refit(fits, k, i, ends[0])
+            refit(tick, k, i)
     # Batch idx is forecast at its origin and scored on the Q ticks after it;
     # a retrain refits at the next origin. The last batch is not decided on.
     for idx, origin in enumerate(ends, start=1):
         final = idx == len(ends)
         F = feature_matrix(streams, spec, np.arange(origin + 1, origin + Q + 1))
         actual_rows = streams.values[origin:origin + Q, :]  # ticks origin+1..origin+Q
-        fits = {}
+        tick = None if final else _RefitTick(streams, spec, ends[idx], window)
         for k, config in enumerate(configs):
             log, state_k, model_k, token_k = logs[k], states[k], models[k], tokens[k]
             for i in range(n_streams):
@@ -338,7 +385,7 @@ def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
                 losses = squared_loss_batch(actuals, forecasts)
                 made_by = token_k[i]
                 decision = _NO_DECISION if final else observe(state_k[i], losses)
-                seconds = refit(fits, k, i, ends[idx]) if decision.retrain else 0.0
+                seconds = refit(tick, k, i) if decision.retrain else 0.0
                 log.append(BatchRecord(
                     stream_id=streams.stream_ids[i], batch_index=idx,
                     batch_end=origin + Q, forecasts=forecasts, actuals=actuals,

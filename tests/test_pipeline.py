@@ -243,9 +243,9 @@ def test_compared_runs_fit_each_stream_and_tick_once(monkeypatch):
 
     seeds = []
 
-    def counting_fit_forest(data, hp, seed, trained_at):
+    def counting_fit_forest(data, hp, seed, trained_at, columns=None):
         seeds.append((seed, trained_at))
-        return fit_forest(data, hp, seed, trained_at=trained_at)
+        return fit_forest(data, hp, seed, trained_at=trained_at, columns=columns)
 
     fit_forest = pipeline.fit_forest
     monkeypatch.setattr(pipeline, "fit_forest", counting_fit_forest)
@@ -258,6 +258,63 @@ def test_compared_runs_fit_each_stream_and_tick_once(monkeypatch):
     distinct = set().union(*per_run)
     assert len(seeds) == len(set(seeds)) == len(distinct)
     assert len(distinct) < sum(map(len, per_run))  # the daily run's fits were shared
+
+
+def test_a_refit_tick_shares_one_design_and_one_sorted_columns(monkeypatch):
+    import driftmon.forecasters.models as models
+    import driftmon.pipeline as pipeline
+    from driftmon.features import training_set
+    from driftmon.forecasters import SortedColumns, fit_boosting, fit_forest
+
+    fits, sorts = [], []
+
+    def recording_fit_model(config, tick, i):
+        model = fit_model(config, tick, i)
+        fits.append((config, i, tick.at_tick, model))
+        return model
+
+    def counting_sorted_columns(X):
+        sorts.append(X)
+        return SortedColumns(X)
+
+    fit_model = pipeline._fit_model
+    monkeypatch.setattr(pipeline, "_fit_model", recording_fit_model)
+    monkeypatch.setattr(pipeline, "SortedColumns", counting_sorted_columns)
+    monkeypatch.setattr(models, "SortedColumns", counting_sorted_columns)
+    shared = {**SHARED, "source": RegimeScenario(n_streams=3, n_days=10, slots_per_day=12,
+                                                 level_shifts=((6, 0, 3.0),), noise_scale=1.0,
+                                                 seed=5)}
+    hp = HyperParams(forest=ForestParams(n_trees=3, min_node_size=2),
+                     boosting=BoostingParams(n_rounds=3))
+    compare_policies([RunConfig(forecaster=forecaster, policy=EveryKBatches(k=1),
+                                hyperparams=hp, **shared)
+                      for forecaster in ("forest", "boosting")])
+    monkeypatch.undo()
+
+    panel = materialize(RunConfig(**shared))
+    ticks = {tick for _, _, tick, _ in fits}
+    assert len(fits) == 2 * 3 * len(ticks)   # both forecasters refit all 3 streams each tick
+    assert len(sorts) == len(ticks)
+    assert all(not X.flags.writeable for X in sorts)
+    for config, i, tick, model in fits:
+        data = training_set(panel, config.feature_spec, i, tick, config.window_days)
+        fit = fit_forest if config.forecaster == "forest" else fit_boosting
+        want = fit(data, hp, pipeline._fit_seed(config.seed, i, tick), trained_at=tick)
+        assert model.payload.base == want.payload.base
+        for name in ("feature", "threshold", "child", "value", "n_samples", "roots", "depths"):
+            assert np.array_equal(getattr(model.payload.nodes, name),
+                                  getattr(want.payload.nodes, name))
+
+
+def test_naive_refits_build_no_design(monkeypatch):
+    import driftmon.pipeline as pipeline
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("a naive refit built a training set")
+
+    want = run(naive_config(EveryKBatches(k=1)))
+    monkeypatch.setattr(pipeline, "training_set", no_design)
+    assert _log_fields(run(naive_config(EveryKBatches(k=1)))) == _log_fields(want)
 
 
 def test_shared_fits_record_equal_retrain_seconds():

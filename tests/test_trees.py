@@ -211,6 +211,63 @@ def test_grower_matches_reference_on_binary_heavy_designs(data, min_leaf, max_de
         assert_same_tree(nested(block.tree(t)), renumbered(want, pool))
 
 
+def assert_block_matches_reference(X, y, weights, min_leaf=1, max_depth=None):
+    """Each tree of one block grown on (X, y, weights) is ``reference_tree``'s."""
+    block = grow_tree(X, y, weights, min_leaf=min_leaf, max_depth=max_depth)
+    for t in range(weights.shape[0]):
+        assert_same_tree(nested(block.tree(t)),
+                         reference_tree(X, y, weights[t], min_leaf=min_leaf, max_depth=max_depth))
+    return block
+
+
+def test_a_node_without_admissible_continuous_split_stays_a_leaf_beside_one_that_splits():
+    # Three distinct values, but with min_leaf 3 tree 0's root has no split
+    # leaving 3 samples on each side; tree 1's weights make one. Both roots
+    # are scored in one pass over the level's positions.
+    X = np.array([[0.0], [0.0], [0.0], [0.0], [0.0], [1.0], [2.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 5.0, 9.0])
+    weights = np.array([[1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 2, 2], [1, 1, 1, 1, 1, 1, 1]])
+    block = assert_block_matches_reference(X, y, weights, min_leaf=3)
+    assert [block.tree(t).feature.size for t in range(3)] == [1, 3, 1]
+
+
+def test_ties_straddling_candidate_boundaries():
+    # Sorted, column 0 ends on the value column 1 starts with, and column 1
+    # ends below column 2's start: a node's candidates lie end to end in one
+    # pass, x ties and rises across their boundaries, and a split is still
+    # scored within one candidate only.
+    X = np.array([[0.0, 3.0, 7.0], [1.0, 3.0, 8.0], [2.0, 4.0, 9.0], [3.0, 5.0, 9.0],
+                  [3.0, 6.0, 7.0], [3.0, 6.0, 7.0], [0.0, 6.0, 9.0], [2.0, 3.0, 8.0]])
+    y = np.array([1.0, 4.0, -2.0, 0.0, 3.0, 3.0, 5.0, -1.0])
+    weights = np.array([[1] * 8, [2, 0, 1, 1, 3, 0, 1, 1], [0, 1, 1, 2, 1, 1, 0, 2]])
+    for min_leaf in (1, 2):
+        assert_block_matches_reference(X, y, weights, min_leaf=min_leaf)
+
+
+def test_zero_weight_rows_take_no_part_in_a_split():
+    # Rows of weight 0 sit between and on the values of the weighted ones;
+    # thresholds and counts come from the weighted rows alone.
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 6, size=(30, 3)).astype(float)
+    y = rng.integers(-5, 6, size=30).astype(float)
+    weights = rng.integers(0, 3, size=(4, 30)) * (rng.random((4, 30)) < 0.5)
+    weights[:, 0] += 1
+    for min_leaf in (1, 2, 3):
+        assert_block_matches_reference(X, y, weights, min_leaf=min_leaf)
+
+
+def test_min_leaf_above_half_a_node():
+    rng = np.random.default_rng(37)
+    X = rng.normal(size=(12, 2))
+    y = rng.integers(-5, 6, size=12).astype(float)
+    weights = np.array([[1] * 12, [2] * 6 + [0] * 6, rng.integers(1, 3, size=12)])
+    for min_leaf in range(1, 14):
+        block = assert_block_matches_reference(X, y, weights, min_leaf=min_leaf)
+        # a root holding fewer than 2 * min_leaf samples never splits
+        for t in np.flatnonzero(weights.sum(axis=1) < 2 * min_leaf):
+            assert block.tree(t).feature.size == 1
+
+
 def assert_same_arrays(a, b):
     for name in ("feature", "threshold", "child", "value", "n_samples", "depths"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
