@@ -156,16 +156,15 @@ class ReferenceBatch:
 
 
 class PeltSearch:
-    """A PELT search solved up to end ``len(F) - 1`` for one penalty and ``min_seg_len``.
+    """An exact search solved up to end ``len(F) - 1`` for one penalty and ``min_seg_len``.
 
     ``F[s]`` is the optimal penalized cost of the first ``s`` values and
-    ``prev[s]`` the start of its last segment; ``candidates`` are the live
-    last-segment starts and ``remove_at[tau]`` the end from which a dominated
-    ``tau`` is dropped. None of them depends on values after the solved end,
-    so an appended value needs only the step for the new end.
+    ``prev[s]`` the start of its last segment. Neither depends on values
+    after the solved end, so an appended value needs only the step for the
+    new end.
     """
 
-    __slots__ = ("penalty", "min_seg_len", "F", "prev", "candidates", "remove_at")
+    __slots__ = ("penalty", "min_seg_len", "F", "prev")
 
     def __init__(self, penalty: float, min_seg_len: int):
         self.penalty = penalty
@@ -174,8 +173,6 @@ class PeltSearch:
         # floats: float64 sums, as in an array
         self.F = [-penalty] + [math.inf] * (min_seg_len - 1)
         self.prev = [0] * min_seg_len
-        self.candidates: list[int] = []
-        self.remove_at: dict[int, int] = {}
 
 
 class PeltHistory(SummedValues):
@@ -392,7 +389,7 @@ def observe(state: MonitorState, new_losses) -> MonitorDecision:
 
 
 # ---------------------------------------------------------------------------
-# Exact penalized segmentation with pruning
+# Exact penalized segmentation
 # ---------------------------------------------------------------------------
 
 def pelt(values, penalty: float, min_seg_len: int = 2,
@@ -400,10 +397,11 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
     """Minimize total segment cost plus a per-changepoint penalty, exactly.
 
     Returns (changepoints, optimal penalized cost) where changepoints are the
-    0-based start indices of new segments, ascending. Candidate pruning keeps
-    the search linear-ish without giving up exactness, provided the cost is
-    subadditive (splitting a segment never increases the summed cost), which
-    holds for the Gaussian cost used here.
+    0-based start indices of new segments, ascending. Optimal partitioning:
+    the step for end ``s`` tries every admissible start of the last segment,
+    0 and ``min_seg_len .. s - min_seg_len``, and keeps the first strict
+    minimum, so ties go to the lowest start. Exactness needs nothing of the
+    cost.
 
     ``cost`` is called once per evaluated segment with a stats.Segment view
     of the history, ``(values, start, end)``; the default cost reads it from
@@ -412,12 +410,12 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
 
     A PeltHistory keeps the search: called again with the same penalty and
     ``min_seg_len`` after appends, ``pelt`` runs only the new ends, so a
-    step costs O(live candidates), and stores none of their costs. Any other
-    call starts a new search that solves every end from ``min_seg_len`` on,
-    O(history x candidates); it calls ``cost`` only for segments whose cost
-    the history has not cached yet, and caches them (the caller keeps
-    ``cost`` the same for one history). Any other sequence starts with an
-    empty cache.
+    step costs O(history), and stores none of their costs. Any other call
+    starts a new search that solves every end from ``min_seg_len`` on,
+    O(history^2); it calls ``cost`` only for segments whose cost the history
+    has not cached yet, and caches them, one per (end, admissible start)
+    (the caller keeps ``cost`` the same for one history). Any other sequence
+    starts with an empty cache.
     """
     history = values if isinstance(values, PeltHistory) else PeltHistory(values)
     n = len(history)
@@ -434,38 +432,21 @@ def pelt(values, penalty: float, min_seg_len: int = 2,
         search = history.search = PeltSearch(penalty, L)
     else:
         costs = {}  # a resumed search never reads its new ends' costs again
-    F, prev, candidates, remove_at = search.F, search.prev, search.candidates, search.remove_at
-    # A dominated candidate tau stays usable until step s + L: the dominating
-    # candidate s only becomes admissible once the segment after it can reach
-    # the minimum length, so earlier removal would not be exact.
+    F, prev = search.F, search.prev
     for s in range(len(F), n + 1):
-        t_new = s - L
-        if t_new == 0 or t_new >= L:
-            candidates.append(t_new)
         known = costs.setdefault(s, {})
-        active: list[int] = []
-        seg_costs: list[float] = []
-        for tau in candidates:
-            if remove_at.get(tau, s + 1) <= s:
-                continue
-            active.append(tau)
+        best = math.inf
+        best_tau = 0
+        for tau in (0, *range(L, s - L + 1)):
             c = known.get(tau)
             if c is None:
                 c = known[tau] = cost(Segment(history, tau, s))
-            seg_costs.append(c)
-        best = math.inf
-        best_tau = active[0]
-        for tau, c in zip(active, seg_costs):
             total = F[tau] + c + penalty
             if total < best:
                 best = total
                 best_tau = tau
         F.append(best)
         prev.append(best_tau)
-        for tau, c in zip(active, seg_costs):
-            if F[tau] + c > best and tau not in remove_at:
-                remove_at[tau] = s + L
-        candidates[:] = active
 
     changepoints = []
     t = n

@@ -422,8 +422,7 @@ def gaussian_segment_cost(segment) -> float:
     """Twice the negative maximized Gaussian log-likelihood of a segment.
 
     n * (log(2*pi) + log(max(var_mle, 1e-8)) + 1). The variance floor keeps
-    constant segments finite; the cost stays subadditive under it, which is
-    what exact pruning in the changepoint search relies on.
+    constant segments finite.
 
     ``var_mle`` is the exact variance of the segment's floats, correctly
     rounded (``SummedValues.variance``). A Segment view reads it from its

@@ -11,8 +11,9 @@ from driftmon.stats import bic, gaussian_segment_cost
 def optimal_partition(values, penalty, min_seg_len=2):
     """Exhaustive-search reference: quadratic DP over every admissible split.
 
-    Independent of the pruned search; shares only the segment cost, which is
-    the point (the pruning is what could be wrong).
+    Independent of the monitor's search: it costs each slice on its own and
+    shares only the segment cost function, not the history's prefix sums,
+    its cost cache or a resumed search, which are what could be wrong.
     """
     x = np.asarray(values, dtype=float)
     n = x.size

@@ -314,6 +314,50 @@ def test_cached_pelt_equals_fresh_pelt_at_every_step(regimes, noise, penalty, mi
             assert c == monitor.gaussian_segment_cost(np.asarray(history)[start:end])
 
 
+def _regime_means(regimes, seed) -> np.ndarray:
+    """Batch means of constant, two-valued or noisy regimes, at most 60 of them."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for length, kind, level, scale in regimes:
+        if kind == "constant":
+            parts.append(np.full(length, level))
+        elif kind == "two-valued":
+            parts.append(level + scale * rng.integers(0, 2, size=length))
+        else:
+            parts.append(level + scale * rng.normal(size=length))
+    return np.concatenate(parts)[:60]
+
+
+@settings(max_examples=40, deadline=None)
+@given(regimes=st.lists(st.tuples(st.integers(1, 20),
+                                  st.sampled_from(["constant", "two-valued", "noisy"]),
+                                  st.floats(-10.0, 10.0), st.floats(0.0, 5.0)),
+                        min_size=1, max_size=6),
+       min_seg_len=st.integers(2, 6),
+       penalty_share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16))
+def test_pelt_and_policy_steps_equal_optimal_partition(regimes, min_seg_len, penalty_share,
+                                                       seed):
+    # several regimes and min_seg_len > 2 reach the starts that a pruned
+    # search drops; the policy's searches run on histories cut at changepoints
+    means = _regime_means(regimes, seed)
+    penalty = penalty_share * 6.0 * math.log(means.size) if means.size > 1 else 0.0
+    if means.size >= min_seg_len:
+        assert pelt(means, penalty, min_seg_len) == optimal_partition(means, penalty,
+                                                                      min_seg_len)
+    for fixed in (penalty, None):
+        policy = PeltPolicy(penalty=fixed, min_seg_len=min_seg_len)
+        state = new_state(policy)
+        for value in means:
+            history = [*state.loss_history, value]
+            decision = observe(state, np.array([value]))
+            want = []
+            if len(history) >= 2 * min_seg_len:
+                want, _ = optimal_partition(history, policy.penalty_for(state.batches_seen),
+                                            min_seg_len)
+            assert decision.detected_changepoints == tuple(want)
+
+
 def test_pelt_on_a_plain_sequence_starts_a_fresh_cache():
     rng = np.random.default_rng(10)
     x = rng.normal(size=40)
@@ -353,7 +397,7 @@ def test_fixed_penalty_pelt_resumes_at_the_new_end():
         calls.clear()
         got = pelt(history, 8.0, 3, counting_cost)
         assert all(start + size == end for start, size in calls)
-        assert len(calls) == len(history.search.candidates)  # O(live candidates)
+        assert len(calls) == 1 + max(0, end - 2 * 3 + 1)  # one per admissible start
         assert got == pelt(list(history), 8.0, 3)
 
 
