@@ -38,6 +38,11 @@ which block it was grown in.
 
 Trees are written straight into ``FlatTree`` node arrays; growth, boosting
 shrinkage, prediction and the text dump all work on those arrays.
+
+A deep tree's tail levels hold few samples, so their cost is mostly the
+fixed cost of numpy calls. The level loop therefore calls ndarray methods
+(``a.repeat(c)``, ``a.cumsum()``, ``m.nonzero()``) rather than numpy's
+module functions, whose Python wrappers cost about as much again per call.
 """
 
 from __future__ import annotations
@@ -212,8 +217,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
     levels = []
     while True:
         depth = len(levels)
-        start = np.cumsum(count) - count
-        samples = np.repeat(tree_of * n, count) + rows
+        start = count.cumsum() - count
+        samples = (tree_of * n).repeat(count) + rows
         n_w = np.add.reduceat(w[samples], start)
         total = np.add.reduceat(yw[samples], start)
         y_min = np.minimum.reduceat(y[rows], start)
@@ -224,12 +229,12 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                  "value": np.where(pure, y_min, total / n_w),
                  "split": np.zeros(count.size, dtype=bool)}
         levels.append(level)
-        nodes = np.flatnonzero(~pure & (n_w >= 2 * min_leaf) & (depth < max_depth))
+        nodes = (~pure & (n_w >= 2 * min_leaf) & (depth < max_depth)).nonzero()[0]
         if nodes.size:
             drawn = (pool[_draw_features(rngs, tree_of[nodes], pool.size, mtry)] if draw
                      else np.tile(pool, (nodes.size, 1)))
             paths = []
-            pos, col = np.nonzero(columns.slot[drawn] >= 0)
+            pos, col = (columns.slot[drawn] >= 0).nonzero()
             if pos.size:
                 c_node, c_feature = nodes[pos], drawn[pos, col]
                 # Whole trees at a time, so the arrays over candidate samples stay small.
@@ -238,7 +243,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
                          for group in _tree_groups(tree_of[c_node], count[c_node])]
                 paths.append([np.concatenate(a) for a in zip(*parts)])
             binary = columns.binary[drawn]
-            pos, col = np.nonzero(binary >= 0)
+            pos, col = (binary >= 0).nonzero()
             if pos.size:
                 paths.append(_binary_splits(columns, w, yw, rows, samples, count, nodes[pos],
                                             binary[pos, col], drawn[pos, col], n_w, total,
@@ -251,7 +256,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
         level["threshold"][nodes] = threshold
         level["value"][nodes] = 0.0
         rows, count = _partition(X, rows, count, level["split"], feature, threshold)
-        tree_of = np.repeat(tree_of[nodes], 2)
+        tree_of = tree_of[nodes].repeat(2)
     return _assemble(levels)
 
 
@@ -262,9 +267,12 @@ def _draw_features(rngs, node_tree: np.ndarray, n_feat: int, mtry: int) -> np.nd
     first mtry entries of a uniform random permutation of the pool per node.
     """
     first = _run_starts(node_tree)
-    keys = np.concatenate([rngs[node_tree[i]].random((m, n_feat))
-                           for i, m in zip(first, _run_lengths(first, node_tree.size))])
-    return np.sort(np.argsort(keys, axis=1)[:, :mtry], axis=1)
+    keys = np.concatenate([rngs[t].random((m, n_feat)) for t, m in
+                           zip(node_tree[first].tolist(),
+                               _run_lengths(first, node_tree.size).tolist())])
+    drawn = keys.argsort(axis=1)[:, :mtry]
+    drawn.sort(axis=1)
+    return drawn
 
 
 def _pick_splits(paths, n_w, total, min_gain):
@@ -304,10 +312,10 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     n = columns.n
     c_slot = columns.slot[c_feature]
     c_count = count[c_node]
-    c_start = np.cumsum(c_count) - c_count
+    c_start = c_count.cumsum() - c_count
 
     def each_sample(per_candidate):
-        return np.repeat(per_candidate, c_count)
+        return per_candidate.repeat(c_count)
 
     key = rows[np.arange(c_start[-1] + c_count[-1]) + each_sample(start[c_node] - c_start)]
     key += each_sample(c_slot * n)
@@ -341,7 +349,7 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     # best score is -inf has no admissible split.
     pick = _first_best_in_runs(c_start[_run_starts(c_node)], score)
     pick = pick[score[pick] > -np.inf]
-    c_pick = np.searchsorted(c_start, pick, side="right") - 1
+    c_pick = c_start.searchsorted(pick, side="right") - 1
     return (c_node[c_pick], score[pick], c_feature[c_pick],
             _threshold(x[pick], x[pick + 1]))
 
@@ -361,11 +369,11 @@ def _binary_splits(columns: SortedColumns, w, yw, rows, samples, count, c_node, 
     n_binary = columns.binary_threshold.size
     lo = columns.rare_start[rows]
     m = columns.rare_start[rows + 1] - lo                # rare entries per sample
-    first = np.cumsum(m) - m
-    entry = np.arange(first[-1] + m[-1]) + np.repeat(lo - first, m)
+    first = m.cumsum() - m
+    entry = np.arange(first[-1] + m[-1]) + (lo - first).repeat(m)
     key = columns.rare_column[entry]
-    key += np.repeat(np.repeat(np.arange(count.size) * n_binary, count), m)
-    samples = np.repeat(samples, m)
+    key += (np.arange(count.size) * n_binary).repeat(count).repeat(m)
+    samples = samples.repeat(m)
     cell = c_node * n_binary + b
     k = np.bincount(key, w[samples], count.size * n_binary)[cell]
     left = np.bincount(key, yw[samples], count.size * n_binary)[cell]
@@ -404,7 +412,7 @@ def _first_best(key, score):
 def _first_best_in_runs(first, score):
     """Index of the first highest score in each run of ``score`` starting at ``first``."""
     best = np.maximum.reduceat(score, first)
-    is_best = score == np.repeat(best, _run_lengths(first, score.size))
+    is_best = score == best.repeat(_run_lengths(first, score.size))
     return np.minimum.reduceat(np.where(is_best, np.arange(score.size), score.size), first)
 
 
@@ -416,9 +424,10 @@ def _running_sums(values: np.ndarray, seg_start: np.ndarray, seg_tree: np.ndarra
     subtracting a segment's "before" value restarts the sum at the segment.
     """
     tree_first = _run_starts(seg_tree)
-    bounds = np.append(seg_start[tree_first], values.size)
+    bounds = seg_start[tree_first].tolist() + [values.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.cumsum(values[lo:hi], out=values[lo:hi])
+        part = values[lo:hi]
+        part.cumsum(out=part)
     before = values[seg_start - 1]
     before[tree_first] = 0.0
     return before
@@ -428,8 +437,8 @@ def _tree_groups(c_tree: np.ndarray, c_samples: np.ndarray) -> list[slice]:
     """Runs of whole trees' candidates, each of about SCORE_SAMPLES candidate samples."""
     first = _run_starts(c_tree)
     size = np.add.reduceat(c_samples, first)
-    cut = first[_run_starts((np.cumsum(size) - size) // SCORE_SAMPLES)]
-    return [slice(a, b) for a, b in zip(cut, np.append(cut[1:], c_tree.size))]
+    cut = first[_run_starts((size.cumsum() - size) // SCORE_SAMPLES)].tolist()
+    return [slice(a, b) for a, b in zip(cut, cut[1:] + [c_tree.size])]
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -442,7 +451,7 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 def _run_lengths(first: np.ndarray, size: int) -> np.ndarray:
     """Length of each run, from the runs' starts and the total length."""
-    return np.append(first[1:], size) - first
+    return np.concatenate((first[1:], [size])) - first
 
 
 def _partition(X: np.ndarray, rows, count, split, feature, threshold):
@@ -451,15 +460,18 @@ def _partition(X: np.ndarray, rows, count, split, feature, threshold):
     Each split node's samples are divided stably into its left then its
     right child.
     """
-    rows = rows[np.repeat(split, count)]
+    rows = rows[split.repeat(count)]
     count = count[split]
-    node = np.repeat(np.arange(count.size), count)
+    node = np.arange(count.size).repeat(count)
     goes_right = X[rows, feature[node]] > threshold[node]
     # A stable sort of (node, side) keys; 16-bit keys take numpy's radix sort.
     key = (2 * node + goes_right).astype(np.uint16 if count.size < 2 ** 15 else np.intp)
-    rows = rows[np.argsort(key, kind="stable")]
-    n_right = np.add.reduceat(goes_right, np.cumsum(count) - count)
-    return rows, np.column_stack([count - n_right, n_right]).ravel()
+    rows = rows[key.argsort(kind="stable")]
+    n_right = np.add.reduceat(goes_right, count.cumsum() - count)
+    children = np.empty(2 * count.size, dtype=count.dtype)
+    children[0::2] = count - n_right
+    children[1::2] = n_right
+    return rows, children
 
 
 def _assemble(levels: list[dict]) -> FlatTree:

@@ -81,7 +81,7 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
     missing grid cell.
     """
     cells: dict[tuple[int, str], float] = {}
-    stream_order: list[str] = []
+    stream_order: dict[str, None] = {}   # ids by first appearance, looked up in O(1)
     max_tick = 0
     with open(path, newline="", encoding="utf-8") as handle:
         numbered = [
@@ -116,8 +116,7 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
             key = (tick, stream_id)
             if key in cells:
                 raise ParseError(line_no, f"duplicate cell tick={tick}, stream={stream_id!r}")
-            if stream_id not in stream_order:
-                stream_order.append(stream_id)
+            stream_order.setdefault(stream_id)
             cells[key] = value
             max_tick = max(max_tick, tick)
 

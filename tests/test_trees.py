@@ -14,6 +14,7 @@ from driftmon.forecasters import (
     fit_boosting,
     fit_forest,
     grow_tree,
+    models,
     predict_matrix,
 )
 from oracles import reference_tree
@@ -279,6 +280,37 @@ def test_forest_tree_does_not_depend_on_its_block():
     large = fit_forest(data, HyperParams(forest=ForestParams(n_trees=20, min_node_size=3)), seed=7)
     for a, b in zip(small.payload.flats, large.payload.flats[:8]):
         assert_same_arrays(a, b)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_node_table_does_not_depend_on_the_block_rule(monkeypatch, bootstrap):
+    data = rand_design(31, n=60, p=9)
+    hp = HyperParams(forest=ForestParams(n_trees=10, mtry=3, min_node_size=2,
+                                         bootstrap=bootstrap))
+    tables = []
+    # 1-tree blocks, 3-tree blocks with a remainder of 1, one block for all trees
+    for block in (1, 3, 10):
+        monkeypatch.setattr(models, "forest_block", lambda n, block=block: block)
+        tables.append(fit_forest(data, hp, seed=13).payload.nodes)
+    for table in tables[1:]:
+        assert_same_arrays(tables[0], table)
+        assert np.array_equal(tables[0].roots, table.roots)
+
+
+def test_forest_blocks_are_sized_by_rows(monkeypatch):
+    assert (models.forest_block(720), models.forest_block(10_800)) == (45, 8)
+    grown = []
+
+    def counting_grow_tree(X, y, weights, **kwargs):
+        grown.append(len(weights))
+        return grow_tree(X, y, weights, **kwargs)
+
+    monkeypatch.setattr(models, "grow_tree", counting_grow_tree)
+    data = rand_design(37, n=720, p=4)
+    model = fit_forest(data, HyperParams(forest=ForestParams(n_trees=500, min_node_size=200)),
+                       seed=1)
+    assert grown == [45] * 11 + [5]   # ceil(500 / 45) calls
+    assert model.payload.nodes.n_trees == 500
 
 
 def test_tree_grown_alone_equals_tree_grown_after_others():
