@@ -15,15 +15,21 @@ bootstrap is a count per row. At each depth, each open node's best split
 is found on two paths, by candidate column kind:
 
 - a *continuous* column (three or more distinct values): per group of
-  whole trees (about ``SCORE_SAMPLES`` candidate samples), the samples of
-  every (open node, candidate feature) pair are laid out by one integer
-  sort of (candidate, rank in its feature) keys, running sums give the
-  left side of a split after every position, and every position is scored
-  at once, those that cannot split at -inf, with no search or compaction;
+  whole trees (about ``SCORE_SAMPLES`` candidate samples; a level within
+  that is one group), the samples of every (open node, candidate feature)
+  pair are laid out by one integer sort of (candidate, rank in its
+  feature) keys, and one running sum of weight and weighted target gives
+  the left side of a split after every position. Every position is scored
+  at once, those that cannot split at -inf, with no search or compaction:
+  the left count, left sum and right count each take one pass into a
+  contiguous array, and the score is built in place from them. A node's
+  first best position is its first hit of its best score;
 - a *binary* column (two distinct values, such as a day-of-week or hour
-  dummy) has one threshold. Once per level, two bincounts over the
-  samples' entries on each binary column's rarer value give every node's
-  weight and target sum on that value, as SLIQ's count matrix does for
+  dummy) has one threshold. ``SortedColumns`` lists, once per design, each
+  row's binary columns on their rarer value, padded to one width (two in
+  the calendar design). Once per level, two bincounts over the samples'
+  rows of that table, keyed by node, give every node's weight and target
+  sum on each binary column's rarer value, as SLIQ's count matrix does for
   categorical attributes; no sample is sorted or gathered per column.
 
 The paths add a node's sums in different orders, so between splits whose
@@ -136,14 +142,15 @@ class SortedColumns:
 
     A column with exactly two distinct values is binary: ``binary[f]`` is
     its index b among the binary columns (-1 for any other column), and
-    ``binary_threshold[b]`` its one split threshold. Row r sits on the rarer
-    value of the binary columns ``rare_column[rare_start[r]:rare_start[r + 1]]``;
-    ``rare_left[b]`` says whether that rarer value is the lower one. A
-    constant column is neither and never splits.
+    ``binary_threshold[b]`` its one split threshold, and ``rare_left[b]``
+    says whether its rarer value is the lower one. Row ``rare_pad[r]`` lists
+    the binary columns on whose rarer value row r sits, ascending, padded to
+    the widest row's count with the sentinel ``n_binary`` (the number of
+    binary columns). A constant column is neither and never splits.
     """
 
     __slots__ = ("n", "slot", "order", "rank", "xs", "binary", "binary_threshold", "rare_left",
-                 "rare_start", "rare_column")
+                 "rare_pad")
 
     def __init__(self, X: np.ndarray):
         self.n = n = X.shape[0]
@@ -164,10 +171,13 @@ class SortedColumns:
         self.binary = np.full(X.shape[1], -1, dtype=np.intp)
         self.binary[binary] = np.arange(binary.size)
         self.binary_threshold = _threshold(low[binary], high[binary])
-        is_low = is_low[:, binary]
-        self.rare_left = 2 * is_low.sum(axis=0) <= n
-        row, self.rare_column = np.nonzero(is_low == self.rare_left)
-        self.rare_start = np.searchsorted(row, np.arange(n + 1))
+        is_rare = is_low[:, binary]
+        self.rare_left = 2 * is_rare.sum(axis=0) <= n
+        is_rare = is_rare == self.rare_left
+        row, column = is_rare.nonzero()                 # row-major: columns ascending
+        m = is_rare.sum(axis=1)                         # rare entries per row
+        self.rare_pad = np.full((n, m.max(initial=0)), binary.size, dtype=np.intp)
+        self.rare_pad[row, np.arange(row.size) - (m.cumsum() - m)[row]] = column
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
@@ -303,9 +313,10 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     (candidate, rank in the feature) keys lays each candidate out as its
     node's samples in ascending order of its feature. Every position is
     scored as a split after it, -inf where it is not admissible; a node's
-    candidates are contiguous, so two reductions over its positions find
-    its first best split, its lowest feature's lowest threshold, and only
-    the winners are mapped back to their candidates. Arrays over all
+    candidates are contiguous, so its best score over its positions, and
+    the first position holding it, give its first best split, its lowest
+    feature's lowest threshold. Only the winners are mapped back to their
+    candidates. Arrays over all
     candidate samples set the grower's peak memory, so few of them live at
     once.
     """
@@ -329,22 +340,25 @@ def _best_splits(columns: SortedColumns, wy, rows, c_node, c_feature, start, cou
     running = wy[key]
     del key
     before = _running_sums(running, c_start, tree_of[c_node])
-    running -= each_sample(before)
-    k, left = running.imag, running.real
-    n_c = each_sample(n_w[c_node])
+    k = running.imag - each_sample(before.imag)
+    left = running.real - each_sample(before.real)
+    del running
 
     # A split after position i leaves k samples, of targets summing to left,
-    # on the left. It needs x to rise to position i + 1 and both sides to keep
-    # min_leaf samples; a candidate's last position keeps none on the right.
+    # on the left, and n_right on the right. It needs x to rise to position
+    # i + 1 and both sides to keep min_leaf samples; a candidate's last
+    # position keeps none on the right.
+    n_right = each_sample(n_w[c_node].astype(float))
+    n_right -= k
     ok = np.empty(x.size, dtype=bool)
     np.greater(x[1:], x[:-1], out=ok[:-1])
     ok[-1] = False
     ok &= k >= min_leaf
-    ok &= n_c - k >= min_leaf
+    ok &= n_right >= min_leaf
     with np.errstate(divide="ignore", invalid="ignore"):
-        score = _score(left, k, each_sample(total[c_node]), n_c)
+        score = _score(left, k, each_sample(total[c_node]), n_right)
     score[~ok] = -np.inf
-    del running, k, left, n_c, ok
+    del k, n_right, ok
     # A node's candidates, hence its positions, are contiguous; a node whose
     # best score is -inf has no admissible split.
     pick = _first_best_in_runs(c_start[_run_starts(c_node)], score)
@@ -360,42 +374,52 @@ def _binary_splits(columns: SortedColumns, w, yw, rows, samples, count, c_node, 
 
     Candidate i is binary column ``b[i]`` (feature ``c_feature[i]``) at node
     ``c_node[i]``, listed node-major with features ascending. Two bincounts
-    over the level's samples' rare entries, keyed by (node, binary column),
-    give every node's weight and weighted target sum on each binary
-    column's rarer value, in sample order and with no sort; the other
-    value's follow from the node's totals. A binary column's one split
-    sends its lower value left.
+    over the level's samples' padded rare entries, keyed by (node, binary
+    column), give every node's weight and weighted target sum on each binary
+    column's rarer value, in sample order and with no sort; padding falls
+    in a node's sentinel cell, which no candidate reads. The other value's
+    sums follow from the node's totals. A binary column's one split sends
+    its lower value left.
     """
-    n_binary = columns.binary_threshold.size
-    lo = columns.rare_start[rows]
-    m = columns.rare_start[rows + 1] - lo                # rare entries per sample
-    first = m.cumsum() - m
-    entry = np.arange(first[-1] + m[-1]) + (lo - first).repeat(m)
-    key = columns.rare_column[entry]
-    key += (np.arange(count.size) * n_binary).repeat(count).repeat(m)
-    samples = samples.repeat(m)
-    cell = c_node * n_binary + b
-    k = np.bincount(key, w[samples], count.size * n_binary)[cell]
-    left = np.bincount(key, yw[samples], count.size * n_binary)[cell]
+    cells = columns.binary_threshold.size + 1          # per node: binary columns, sentinel
+    width = columns.rare_pad.shape[1]
+    key = columns.rare_pad[rows]
+    key += (np.arange(count.size) * cells).repeat(count)[:, None]
+    key = key.ravel()
+    cell = c_node * cells + b
+    k = np.bincount(key, w[samples].repeat(width), count.size * cells)[cell]
+    left = np.bincount(key, yw[samples].repeat(width), count.size * cells)[cell]
 
     n_c, node_total = n_w[c_node], total[c_node]
     rare_right = ~columns.rare_left[b]
     k = np.where(rare_right, n_c - k, k)
     left = np.where(rare_right, node_total - left, left)
-    keep = (k >= min_leaf) & (n_c - k >= min_leaf)
-    node, k, left, n_c, node_total, feature, b = (
-        a[keep] for a in (c_node, k, left, n_c, node_total, c_feature, b))
+    n_right = n_c - k
+    keep = (k >= min_leaf) & (n_right >= min_leaf)
+    node, k, left, n_right, node_total, feature, b = (
+        a[keep] for a in (c_node, k, left, n_right, node_total, c_feature, b))
     if not node.size:
         return node, k, feature, k   # no node splits
-    score = _score(left, k, node_total, n_c)
+    score = _score(left, k, node_total, n_right)
     pick = _first_best(node, score)
     return node[pick], score[pick], feature[pick], columns.binary_threshold[b[pick]]
 
 
-def _score(left, k, total, n):
-    """SSE reduction of a split, up to the node's constant total^2 / n."""
-    right = total - left
-    return left * left / k + right * right / (n - k)
+def _score(left, k, total, n_right):
+    """SSE reduction of a split, up to the node's constant total^2 / n.
+
+    That is left * left / k + right * right / n_right, where right = total -
+    left, computed in place: the score is returned in ``left``'s array, and
+    ``total``'s is overwritten.
+    """
+    right = total
+    right -= left
+    right *= right
+    right /= n_right
+    left *= left
+    left /= k
+    left += right
+    return left
 
 
 def _threshold(v1, v2):
@@ -412,8 +436,9 @@ def _first_best(key, score):
 def _first_best_in_runs(first, score):
     """Index of the first highest score in each run of ``score`` starting at ``first``."""
     best = np.maximum.reduceat(score, first)
-    is_best = score == best.repeat(_run_lengths(first, score.size))
-    return np.minimum.reduceat(np.where(is_best, np.arange(score.size), score.size), first)
+    hits = (score == best.repeat(_run_lengths(first, score.size))).nonzero()[0]
+    # Each run holds its best score, so its first hit is the first at or after its start.
+    return hits[hits.searchsorted(first)]
 
 
 def _running_sums(values: np.ndarray, seg_start: np.ndarray, seg_tree: np.ndarray):
@@ -435,6 +460,8 @@ def _running_sums(values: np.ndarray, seg_start: np.ndarray, seg_tree: np.ndarra
 
 def _tree_groups(c_tree: np.ndarray, c_samples: np.ndarray) -> list[slice]:
     """Runs of whole trees' candidates, each of about SCORE_SAMPLES candidate samples."""
+    if c_samples.sum() <= SCORE_SAMPLES:
+        return [slice(0, c_tree.size)]   # the one run the cuts below would make
     first = _run_starts(c_tree)
     size = np.add.reduceat(c_samples, first)
     cut = first[_run_starts((size.cumsum() - size) // SCORE_SAMPLES)].tolist()

@@ -95,8 +95,7 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
         header = next(csv.reader([header_line]))
         if [h.strip() for h in header] != CSV_HEADER:
             raise ParseError(header_no, f"expected header {','.join(CSV_HEADER)}")
-        for line_no, line in numbered[1:]:
-            row = next(csv.reader([line]))
+        for line_no, row in _records(numbered[1:]):
             if len(row) != 3:
                 raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
             raw_tick, stream_id, raw_value = row[0].strip(), row[1].strip(), row[2].strip()
@@ -131,6 +130,32 @@ def ingest_csv(path: str, slots_per_batch: int = 60) -> StreamSet:
                 raise IncompletePanel(tick, stream_id)
     return StreamSet(values=values, stream_ids=tuple(stream_order),
                      slots_per_batch=slots_per_batch)
+
+
+def _records(numbered: list[tuple[int, str]]):
+    """(line number, fields) of each of the numbered lines, each read as one CSV record.
+
+    One reader parses the lines in turn. A quote left open at the end of a
+    line would carry its record on into the next lines; that line is parsed
+    again on its own, as the record it holds alone, and reading resumes on
+    the line after it.
+    """
+    start = 0
+    while start < len(numbered):
+        reader = csv.reader(numbered[i][1] for i in range(start, len(numbered)))
+        i = start   # the line whose record is read next
+        try:
+            for row in reader:
+                if reader.line_num != i - start + 1:
+                    break
+                yield numbered[i][0], row
+                i += 1
+            else:
+                return
+        except csv.Error:
+            pass   # raised again below when line i is at fault
+        yield numbered[i][0], next(csv.reader([numbered[i][1]]))
+        start = i + 1
 
 
 @contextmanager

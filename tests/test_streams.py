@@ -63,6 +63,23 @@ def test_ingest_rejects_garbage_and_duplicates(tmp_path):
         ingest_csv(make_csv(tmp_path / "c.csv", ["1,a"]))
 
 
+def test_ingest_reads_a_quoted_stream_id_with_a_comma(tmp_path):
+    rows = ['1,"a,b",1', "1,c,2", '2,"a,b",3', "2,c,4"]
+    streams = ingest_csv(make_csv(tmp_path / "d.csv", rows))
+    assert streams.stream_ids == ("a,b", "c")
+    assert np.array_equal(streams.values, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_ingest_fails_an_unclosed_quote_on_its_own_line(tmp_path):
+    # The next line closes the quote: read on into it, line 3 would be the
+    # well-formed row (1, "b\nx", 2).
+    rows = ["1,a,1", '1,"b', 'x",2', "2,a,3"]
+    with pytest.raises(ParseError) as exc:
+        ingest_csv(make_csv(tmp_path / "d.csv", rows))
+    assert exc.value.row == 3
+    assert str(exc.value) == "row 3: expected 3 fields, got 2"
+
+
 def test_ingest_skips_comment_lines(tmp_path):
     rows = ["1,a,1.5", "2,a,2.5"]
     streams = ingest_csv(make_csv(tmp_path / "d.csv", rows, comment="config_hash=zz seed=1"))

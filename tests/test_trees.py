@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,6 +10,7 @@ from driftmon.forecasters import (
     BoostingParams,
     ForestParams,
     HyperParams,
+    cart,
     dump_model,
     fit_boosting,
     fit_forest,
@@ -212,6 +213,76 @@ def test_grower_matches_reference_on_binary_heavy_designs(data, min_leaf, max_de
         assert_same_tree(nested(block.tree(t)), renumbered(want, pool))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=binary_heavy_designs())
+# a continuous and a constant column: no binary column, so no rare entry
+@example(data=(np.array([[0.0, 2.5], [1.0, 2.5], [3.0, 2.5]]), None, None, None))
+# rows 2 and 3 sit on neither column's rarer value
+@example(data=(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), None, None, None))
+def test_rare_pad_lists_each_rows_rarer_value_binary_columns(data):
+    X = data[0]
+    n = X.shape[0]
+    binary = [j for j in range(X.shape[1]) if len(set(X[:, j].tolist())) == 2]
+    rare = []
+    for j in binary:
+        low, high = X[:, j].min(), X[:, j].max()
+        rare.append(low if 2 * np.count_nonzero(X[:, j] == low) <= n else high)
+    lists = [[b for b, j in enumerate(binary) if X[r, j] == rare[b]] for r in range(n)]
+    width = max(map(len, lists))
+    want = [row + [len(binary)] * (width - len(row)) for row in lists]
+    pad = cart.SortedColumns(X).rare_pad
+    assert pad.shape == (n, width)
+    assert pad.tolist() == want
+
+
+_scores = st.sampled_from([-np.inf, -1.0, 0.0, 2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.lists(_scores, min_size=1, max_size=6), min_size=1, max_size=6))
+# ties inside a run, a run all -inf, one-position runs
+@example(runs=[[1.0, 2.5, 2.5], [-np.inf, -np.inf], [0.0], [2.5, 1.0, 2.5], [-np.inf]])
+def test_first_best_in_runs_takes_each_runs_first_highest_score(runs):
+    score = np.array([s for run in runs for s in run])
+    first = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    want = [int(lo) + run.index(max(run)) for lo, run in zip(first, runs)]
+    assert cart._first_best_in_runs(first, score).tolist() == want
+
+
+def calendar_design(seed, n):
+    """Three continuous columns, then six day and three shift dummies (first level dropped)."""
+    rng = np.random.default_rng(seed)
+    day, shift = rng.integers(0, 7, size=n), rng.integers(0, 4, size=n)
+    X = np.column_stack([rng.normal(size=(n, 3))]
+                        + [day == d for d in range(1, 7)] + [shift == s for s in range(1, 4)])
+    y = X[:, 0] + 2.0 * X[:, 3] - X[:, 10] + 0.5 * rng.normal(size=n)
+    return X.astype(float), y
+
+
+@pytest.mark.parametrize("style", ["forest", "boosting"])
+def test_one_scoring_group_per_tree_grows_the_same_block(monkeypatch, style):
+    # With the default SCORE_SAMPLES a level's candidates are scored in one
+    # group of all 12 trees (forest) or in two (boosting style: every
+    # feature, 3 * 600 continuous samples per tree); with 1, every tree is a
+    # group of its own.
+    X, y = calendar_design(41, n=600)
+    rng = np.random.default_rng(43)
+    weights = np.array([np.bincount(rng.integers(0, y.size, size=y.size), minlength=y.size)
+                        for _ in range(12)])
+
+    def grow():
+        if style == "forest":
+            rngs = [np.random.default_rng((5, t)) for t in range(weights.shape[0])]
+            return grow_tree(X, y, weights, rngs=rngs, mtry=3, min_leaf=2)
+        return grow_tree(X, y, weights, min_leaf=1, max_depth=6)
+
+    default = grow()
+    monkeypatch.setattr(cart, "SCORE_SAMPLES", 1)
+    grouped = grow()
+    assert_same_arrays(grouped, default)
+    assert np.array_equal(grouped.roots, default.roots)
+
+
 def assert_block_matches_reference(X, y, weights, min_leaf=1, max_depth=None):
     """Each tree of one block grown on (X, y, weights) is ``reference_tree``'s."""
     block = grow_tree(X, y, weights, min_leaf=min_leaf, max_depth=max_depth)
@@ -298,7 +369,8 @@ def test_forest_node_table_does_not_depend_on_the_block_rule(monkeypatch, bootst
 
 
 def test_forest_blocks_are_sized_by_rows(monkeypatch):
-    assert (models.forest_block(720), models.forest_block(10_800)) == (45, 8)
+    assert (models.forest_block(720), models.forest_block(10_800)) == (45, 3)
+    assert models.forest_block(models.FOREST_BLOCK_SAMPLES + 1) == 1
     grown = []
 
     def counting_grow_tree(X, y, weights, **kwargs):
