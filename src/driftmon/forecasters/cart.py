@@ -40,7 +40,8 @@ Each split node's rows are then divided stably between its children. With
 per-split feature sampling, each tree draws the candidate features of its
 open nodes from its own generator, one level at a time in node order. No
 tree's arithmetic involves another's values, so a tree does not depend on
-which block it was grown in.
+which block it was grown in, nor on the targets the block's other trees
+are grown on.
 
 Trees are written straight into ``FlatTree`` node arrays; growth, boosting
 shrinkage, prediction and the text dump all work on those arrays.
@@ -108,12 +109,17 @@ class FlatTree:
     def depth(self) -> int:
         return int(self.depths.max(initial=0))
 
+    def trees(self, first: int, stop: int) -> "FlatTree":
+        """Trees ``first`` to ``stop - 1`` on their own; their node arrays are
+        views of this table's."""
+        lo = self.roots[first]
+        hi = self.roots[stop] if stop < self.n_trees else self.feature.size
+        return FlatTree(*(getattr(self, name)[lo:hi] for name in _NODE_ARRAYS),
+                        self.roots[first:stop] - lo, self.depths[first:stop])
+
     def tree(self, t: int) -> "FlatTree":
         """Tree ``t`` on its own; its node arrays are views of this table's."""
-        lo = self.roots[t]
-        hi = self.roots[t + 1] if t + 1 < self.n_trees else self.feature.size
-        return FlatTree(*(getattr(self, name)[lo:hi] for name in _NODE_ARRAYS),
-                        np.zeros(1, dtype=np.intp), self.depths[t:t + 1])
+        return self.trees(t, t + 1)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Sum over the trees, in tree order, of each row's leaf value.
@@ -191,7 +197,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
     """Grow one SSE regression tree per row of ``weights``, all together.
 
     ``weights[t, r]`` is how often row r of (X, y) is in tree t (0: not at
-    all); sample counts are sums of these weights. ``columns`` is
+    all); sample counts are sums of these weights. ``y`` holds the targets of
+    the rows, either one for all trees, shape (n,), or one per tree, shape
+    (n_trees, n), where tree t reads only ``y[t]``. ``columns`` is
     ``SortedColumns(X)``, made here when not given. mtry=None considers
     every feature in the pool (ascending indices) at each split; otherwise
     each node draws mtry features from the pool uniformly without
@@ -214,10 +222,17 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
         max_depth = np.inf
 
     # A sample is a (tree, row) pair with positive weight, numbered t * n + r;
-    # w, yw and wy are looked up by sample.
+    # w, yw and wy are looked up by sample, and so is ``target`` when each tree
+    # has its own (else by row).
+    per_tree = np.ndim(y) == 2
+    target = np.ravel(y)
     w = weights.ravel()
-    yw = (weights * y).ravel()
-    wy = yw + 1j * w   # both in one number, so one running sum adds up both
+    # Weighted target and weight in one number, so one running sum adds up
+    # both; yw is a view of the real part, not an array of its own.
+    wy = np.empty(w.size, dtype=complex)
+    wy.real = (weights * y).ravel()
+    wy.imag = w
+    yw = wy.real
     # The rows of the current level's nodes' samples, grouped by node; nodes
     # are in tree order.
     rows = np.nonzero(weights)[1]
@@ -231,8 +246,9 @@ def grow_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
         samples = (tree_of * n).repeat(count) + rows
         n_w = np.add.reduceat(w[samples], start)
         total = np.add.reduceat(yw[samples], start)
-        y_min = np.minimum.reduceat(y[rows], start)
-        pure = y_min == np.maximum.reduceat(y[rows], start)
+        own = target[samples if per_tree else rows]   # each sample's own target
+        y_min = np.minimum.reduceat(own, start)
+        pure = y_min == np.maximum.reduceat(own, start)
         level = {"tree": tree_of, "n_samples": n_w,
                  "feature": np.full(count.size, -1, dtype=np.intp),
                  "threshold": np.full(count.size, np.inf),

@@ -44,6 +44,7 @@ column means after de-scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -226,41 +227,74 @@ class _ActiveSet:
                 self.beta[j] = beta[j]
 
 
+class Gram:
+    """X's part of a lasso fit, which fits on one X with other targets share.
+
+    ``Xs`` holds X's varying columns (``keep``) centered on ``x_mean`` and
+    scaled by ``sd`` to unit second moment, ``G = Xs'Xs / n`` their Gram
+    matrix, formed on first use.
+    """
+
+    def __init__(self, X: np.ndarray):
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] < 2:
+            raise InsufficientData(f"lasso needs n >= 2 rows, got {X.shape[0]}")
+        self.x_mean = X.mean(axis=0)
+        Xc = X - self.x_mean
+        self.sd = np.sqrt(np.mean(Xc * Xc, axis=0))
+        self.keep = self.sd > ZERO_SD
+        # contiguous columns for the per-column products
+        self.Xs = np.asfortranarray(Xc[:, self.keep] / self.sd[self.keep])
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return _gram_matrix(self.Xs)
+
+    def center(self, y: np.ndarray):
+        """(yc, destandardize): y centered, and the map from Xs slopes to
+        (intercept, slopes) on X's scale."""
+        y = np.asarray(y, dtype=float)
+        y_mean = float(y.mean())
+
+        def destandardize(beta_std: np.ndarray) -> tuple[float, np.ndarray]:
+            slopes = np.zeros(self.keep.size)
+            slopes[self.keep] = beta_std / self.sd[self.keep]
+            return y_mean - float(slopes @ self.x_mean), slopes
+
+        return y - y_mean, destandardize
+
+
 def _standardize(X: np.ndarray, y: np.ndarray):
-    """(Xs, yc, destandardize): X's varying columns centered and scaled to unit
-    second moment, y centered, and the map from Xs slopes to (intercept, slopes)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] < 2:
-        raise InsufficientData(f"lasso needs n >= 2 rows, got {X.shape[0]}")
-    x_mean = X.mean(axis=0)
-    Xc = X - x_mean
-    sd = np.sqrt(np.mean(Xc * Xc, axis=0))
-    keep = sd > ZERO_SD
-    y_mean = float(y.mean())
+    """(Xs, yc, destandardize) of ``Gram(X)`` and y."""
+    gram = Gram(X)
+    return (gram.Xs, *gram.center(y))
 
-    def destandardize(beta_std: np.ndarray) -> tuple[float, np.ndarray]:
-        slopes = np.zeros(X.shape[1])
-        slopes[keep] = beta_std / sd[keep]
-        return y_mean - float(slopes @ x_mean), slopes
 
-    # contiguous columns for the per-column products
-    return np.asfortranarray(Xc[:, keep] / sd[keep]), y - y_mean, destandardize
+def _gram_matrix(Xs: np.ndarray) -> np.ndarray:
+    """Xs'Xs / n, one column at a time: a single matrix product would page in
+    BLAS work buffers that stay resident and lift a model-fits run's peak
+    memory by 0.2-0.3 MB."""
+    return np.column_stack([Xs.T @ Xs[:, j] for j in range(Xs.shape[1])]) / Xs.shape[0]
 
 
 def _gram(Xs: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G, c) = (Xs'Xs / n, Xs'yc / n), G one column at a time: a single
-    matrix product would page in BLAS work buffers that stay resident and
-    lift a model-fits run's peak memory by 0.2-0.3 MB."""
-    n = Xs.shape[0]
-    return np.column_stack([Xs.T @ Xs[:, j] for j in range(Xs.shape[1])]) / n, Xs.T @ yc / n
+    """(G, c) = (Xs'Xs / n, Xs'yc / n)."""
+    return _gram_matrix(Xs), Xs.T @ yc / Xs.shape[0]
 
 
 def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
                lambda_min_ratio: float = 1e-3, tol: float = 1e-9,
-               max_iter: int = 10_000, keep_path: bool = False) -> LassoFit:
-    """Fit the full grid and return the BIC-selected solution."""
-    Xs, yc, destandardize = _standardize(X, y)
+               max_iter: int = 10_000, keep_path: bool = False,
+               gram: Gram | None = None) -> LassoFit:
+    """Fit the full grid and return the BIC-selected solution.
+
+    ``gram`` is ``Gram(X)``, made here when not given; fits on one X share
+    it, and only c = Xs'yc / n is formed per fit.
+    """
+    if gram is None:
+        gram = Gram(X)
+    Xs = gram.Xs
+    yc, destandardize = gram.center(y)
     n, p_kept = Xs.shape
     tss = float(yc @ yc)
     floor_scale = tss or 1.0  # the BIC floor on RSS is relative to it
@@ -268,7 +302,7 @@ def lasso_path(X: np.ndarray, y: np.ndarray, n_lambda: int = 100,
         return LassoFit(*destandardize(np.zeros(0)), lam=0.0, bic=bic(tss, n, 1, floor_scale),
                         rss=tss, lambda_grid=np.array([0.0]), n_nonzero_path=np.array([0]))
 
-    G, c = _gram(Xs, yc)
+    G, c = gram.G, Xs.T @ yc / n
     lam_max = float(np.max(np.abs(c)))
     if lam_max <= 0.0:
         grid = np.array([0.0])

@@ -10,13 +10,17 @@ grown beside it.
 Forest and boosting both grow their trees with ``cart.grow_tree`` on one
 ``SortedColumns`` of the design: the forest in blocks of ``forest_block(n)``
 trees (about ``FOREST_BLOCK_SAMPLES`` samples each, at least one tree),
-boosting one tree per round. It sorts the columns of three or more
-distinct values once, and marks the two-valued columns (the calendar
-dummies), whose one split the grower scores from per-node sums over each
-column's rarer value instead of a sorted layout. A fit builds it unless its
-caller passes one (``columns=``): fits on one design, such as every
-stream's fit at one batch end, can share it. An ensemble keeps all its
-trees in one ``FlatTree`` node table and predicts with one walk over it.
+boosting one tree per round. ``fit_forests`` grows the forests of several
+targets on one design, such as every stream's at one batch end, in the same
+blocks, which may then hold several forests' trees, each tree on its own
+target; ``fit_forest`` is its one-target case. ``SortedColumns`` sorts the
+columns of three or more distinct values once, and marks the two-valued
+columns (the calendar dummies), whose one split the grower scores from
+per-node sums over each column's rarer value instead of a sorted layout. A
+fit builds it unless its caller passes one (``columns=``): fits on one
+design, such as every stream's fit at one batch end, can share it, as lasso
+fits can share one ``Gram`` (``gram=``). An ensemble keeps all its trees in
+one ``FlatTree`` node table and predicts with one walk over it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ..errors import InsufficientData, InvalidLag, ShapeError
 from ..features import DesignMatrix
 from ..schema import bounded, check_fields
 from .cart import FlatTree, SortedColumns, dump_tree, grow_tree
-from .lasso import LassoFit, lasso_path
+from .lasso import Gram, LassoFit, lasso_path
 
 
 # About how many samples (trees x rows) one forest ``grow_tree`` call grows
@@ -145,10 +149,12 @@ def fit_naive(lag: int = 420, *, horizon: int, feature_names,
                          payload=NaivePayload(lag=lag, feature_index=index, feature_name=name))
 
 
-def fit_lasso(data: DesignMatrix, hp: HyperParams, trained_at: int = 0) -> ForecastModel:
+def fit_lasso(data: DesignMatrix, hp: HyperParams, trained_at: int = 0,
+              gram: Gram | None = None) -> ForecastModel:
+    """BIC-selected lasso path; ``gram`` is ``Gram(data.X)``, made here when not given."""
     fit = lasso_path(data.X, data.y, n_lambda=hp.lasso.n_lambda,
                      lambda_min_ratio=hp.lasso.lambda_min_ratio,
-                     tol=hp.lasso.tol, max_iter=hp.lasso.max_iter)
+                     tol=hp.lasso.tol, max_iter=hp.lasso.max_iter, gram=gram)
     return ForecastModel(kind=ModelKind.LASSO, feature_names=data.column_names,
                          trained_at=trained_at, payload=fit)
 
@@ -160,12 +166,23 @@ def forest_block(n: int) -> int:
 
 def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,
                columns: SortedColumns | None = None) -> ForecastModel:
-    """Bagged CART regression trees with per-split feature sampling.
+    """Bagged CART regression trees with per-split feature sampling: the
+    forest of ``fit_forests`` on the one target ``data.y``."""
+    return fit_forests(data, [(data.y, seed)], hp, trained_at=trained_at, columns=columns)[0]
 
-    Tree t's generator ``default_rng((seed, t))`` draws its bootstrap, then
-    its nodes' candidate features level by level. Trees are grown in blocks
-    of ``forest_block(n)``. ``columns`` is ``SortedColumns(data.X)``, made here
-    when not given.
+
+def fit_forests(data: DesignMatrix, targets: list[tuple[np.ndarray, int]], hp: HyperParams,
+                trained_at: int = 0, columns: SortedColumns | None = None) -> list[ForecastModel]:
+    """One forest per (target, seed) pair of ``targets``, all on the design ``data.X``.
+
+    Forest s has the trees 0 .. n_trees - 1 of its own, and tree t's
+    generator ``default_rng((seed_s, t))`` draws its bootstrap, then its
+    nodes' candidate features level by level. All forests' trees, forest
+    after forest, are grown in blocks of ``forest_block(n)``, so a block may
+    hold the trees of several forests, each on its forest's target; a tree
+    does not depend on its block. Each model's node table is a view of its
+    trees' range in the joint table. ``data.y`` is not read. ``columns`` is
+    ``SortedColumns(data.X)``, made here when not given.
     """
     n, p = data.X.shape
     params = hp.forest
@@ -177,21 +194,30 @@ def fit_forest(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int =
     mtry = min(mtry, p)
     if columns is None:
         columns = SortedColumns(data.X)
+    n_trees = params.n_trees
+    ys = np.stack([y for y, _ in targets])
     block = forest_block(n)
     blocks = []
-    for first in range(0, params.n_trees, block):
-        rngs = [np.random.default_rng((seed, t))
-                for t in range(first, min(first + block, params.n_trees))]
+    for first in range(0, len(targets) * n_trees, block):
+        forest, tree = np.divmod(np.arange(first, min(first + block, len(targets) * n_trees)),
+                                 n_trees)
+        rngs = [np.random.default_rng((targets[s][1], t))
+                for s, t in zip(forest.tolist(), tree.tolist())]
         if params.bootstrap:
             weights = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
                                 for rng in rngs])
         else:
             weights = np.ones((len(rngs), n), dtype=np.intp)
-        blocks.append(grow_tree(data.X, data.y, weights, rngs=rngs, mtry=mtry,
+        # one target for a block within one forest, else one per tree
+        y = ys[forest[0]] if forest[0] == forest[-1] else ys[forest]
+        blocks.append(grow_tree(data.X, y, weights, rngs=rngs, mtry=mtry,
                                 min_leaf=params.min_node_size, columns=columns))
-    return ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
-                         trained_at=trained_at,
-                         payload=EnsemblePayload(nodes=FlatTree.concat(blocks)))
+    nodes = FlatTree.concat(blocks)
+    return [ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
+                          trained_at=trained_at,
+                          payload=EnsemblePayload(nodes=nodes.trees(s * n_trees,
+                                                                    (s + 1) * n_trees)))
+            for s in range(len(targets))]
 
 
 def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,

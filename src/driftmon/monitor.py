@@ -234,11 +234,13 @@ class Policy:
 
     A policy's keys in the flat run config are ``key_prefix`` plus its field
     names, ``min_batch_losses`` is the fewest losses per batch a step can
-    decide on, and ``max_reference_len`` caps the reference batch.
+    decide on, ``tagged_always`` names the fields a run label shows even at
+    their defaults, and ``max_reference_len`` caps the reference batch.
     """
 
     key_prefix: ClassVar[str] = ""
     min_batch_losses: ClassVar[int] = 1
+    tagged_always: ClassVar[tuple[str, ...]] = ()
     max_reference_len = None
 
     def __post_init__(self):
@@ -253,12 +255,21 @@ class Policy:
         return "retrain" if decision.retrain else "hold"
 
     def tag(self) -> str:
-        """The policy's part of a run label."""
-        return self.name
+        """The policy's part of a run label: its name, then in parentheses each
+        field in ``tagged_always`` and each that differs from its default
+        (floats to six significant digits), comma-separated. It holds no
+        whitespace, since ``driftmon compare`` names a directory after it."""
+        named = [f"{f.name}={_tag_value(getattr(self, f.name))}" for f in fields(self)
+                 if f.init and (f.name in self.tagged_always or getattr(self, f.name) != f.default)]
+        return f"{self.name}({','.join(named)})" if named else self.name
 
     def params(self) -> dict:
         """The policy's keys and values in the flat run config."""
         return {self.key_prefix + f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+
+def _tag_value(value) -> str:
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -269,6 +280,7 @@ class MeanTestPolicy(Policy):
     name: str = field(default="mean_test", init=False)
 
     min_batch_losses: ClassVar[int] = 2  # the Welch test needs a variance
+    tagged_always: ClassVar[tuple[str, ...]] = ("alpha",)
 
     def params(self) -> dict:
         # unset reference options are left out, so configs without them keep their hash
@@ -279,9 +291,6 @@ class MeanTestPolicy(Policy):
         if decision.test is None:
             return "warmup"
         return "reject" if decision.retrain else "accept"
-
-    def tag(self) -> str:
-        return f"mean_test(alpha={self.alpha:g})"
 
     def step(self, state: MonitorState, new_losses) -> MonitorDecision:
         """Warm up an empty reference; otherwise test the batch against it."""
@@ -327,9 +336,6 @@ class PeltPolicy(Policy):
 
     def penalty_for(self, batches_seen: int) -> float:
         return self.penalty if self.penalty is not None else 3.0 * math.log(batches_seen)
-
-    def tag(self) -> str:
-        return "pelt" if self.penalty is None else f"pelt(penalty={self.penalty:g})"
 
     def step(self, state: MonitorState, new_losses) -> MonitorDecision:
         """Append the batch mean loss and resegment the post-retrain history."""

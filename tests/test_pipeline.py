@@ -197,6 +197,16 @@ def test_compare_policies_rejects_different_configs_with_one_run_label():
     assert "'naive/never'" in str(exc.value)
 
 
+def test_policies_that_differ_only_off_their_label_defaults_compare_side_by_side():
+    configs = [naive_config(PeltPolicy(min_seg_len=msl),
+                            source=tiny_scenario(0, shifts=((15, 0, 3.0),), noise=0.5))
+               for msl in (3, 5)]
+    runs = compare_policies(configs)
+    assert [cr.label for cr in runs] == ["naive/pelt(min_seg_len=3)", "naive/pelt(min_seg_len=5)"]
+    for config, compared in zip(configs, runs):
+        assert _log_fields(compared.log) == _log_fields(run(config))
+
+
 # A geometry small enough for every forecaster: 12-slot days, 4-slot batches.
 SHARED = dict(source=RegimeScenario(n_streams=2, n_days=10, slots_per_day=12,
                                     level_shifts=((6, 0, 3.0), (8, 1, 0.4)), noise_scale=1.0,
@@ -241,14 +251,15 @@ def test_compared_runs_equal_their_solo_runs():
 def test_compared_runs_fit_each_stream_and_tick_once(monkeypatch):
     import driftmon.pipeline as pipeline
 
-    seeds = []
+    seeds, calls = [], []
 
-    def counting_fit_forest(data, hp, seed, trained_at, columns=None):
-        seeds.append((seed, trained_at))
-        return fit_forest(data, hp, seed, trained_at=trained_at, columns=columns)
+    def counting_fit_forests(data, targets, hp, trained_at, columns=None):
+        seeds.extend((seed, trained_at) for _, seed in targets)
+        calls.append(trained_at)
+        return fit_forests(data, targets, hp, trained_at=trained_at, columns=columns)
 
-    fit_forest = pipeline.fit_forest
-    monkeypatch.setattr(pipeline, "fit_forest", counting_fit_forest)
+    fit_forests = pipeline.fit_forests
+    monkeypatch.setattr(pipeline, "fit_forests", counting_fit_forests)
     runs = compare_policies([RunConfig(forecaster="forest", policy=policy, hyperparams=SMALL_HP,
                                        **SHARED)
                              for policy in (EveryKBatches(k=1), MeanTestPolicy(0.2),
@@ -258,6 +269,8 @@ def test_compared_runs_fit_each_stream_and_tick_once(monkeypatch):
     distinct = set().union(*per_run)
     assert len(seeds) == len(set(seeds)) == len(distinct)
     assert len(distinct) < sum(map(len, per_run))  # the daily run's fits were shared
+    # the daily run refits both streams at every tick, in one joint call per tick
+    assert len(calls) == len(set(calls)) == len({tick for _, tick in distinct})
 
 
 def test_a_refit_tick_shares_one_design_and_one_sorted_columns(monkeypatch):
@@ -266,19 +279,20 @@ def test_a_refit_tick_shares_one_design_and_one_sorted_columns(monkeypatch):
     from driftmon.features import training_set
     from driftmon.forecasters import SortedColumns, fit_boosting, fit_forest
 
-    fits, sorts = [], []
+    fits, joint, sorts = [], [], []
 
-    def recording_fit_model(config, tick, i):
-        model = fit_model(config, tick, i)
-        fits.append((config, i, tick.at_tick, model))
-        return model
+    def recording_fit_models(config, tick, streams):
+        got = fit_models(config, tick, streams)
+        fits.extend((config, i, tick.at_tick, model) for i, model in zip(streams, got))
+        joint.append((config.forecaster, len(streams)))
+        return got
 
     def counting_sorted_columns(X):
         sorts.append(X)
         return SortedColumns(X)
 
-    fit_model = pipeline._fit_model
-    monkeypatch.setattr(pipeline, "_fit_model", recording_fit_model)
+    fit_models = pipeline._fit_models
+    monkeypatch.setattr(pipeline, "_fit_models", recording_fit_models)
     monkeypatch.setattr(pipeline, "SortedColumns", counting_sorted_columns)
     monkeypatch.setattr(models, "SortedColumns", counting_sorted_columns)
     shared = {**SHARED, "source": RegimeScenario(n_streams=3, n_days=10, slots_per_day=12,
@@ -294,6 +308,10 @@ def test_a_refit_tick_shares_one_design_and_one_sorted_columns(monkeypatch):
     panel = materialize(RunConfig(**shared))
     ticks = {tick for _, _, tick, _ in fits}
     assert len(fits) == 2 * 3 * len(ticks)   # both forecasters refit all 3 streams each tick
+    assert len(set((c.forecaster, i, tick) for c, i, tick, _ in fits)) == len(fits)
+    # per tick, the 3 streams' forests grow in one call, their boosting fits one by one
+    assert sorted(set(joint)) == [("boosting", 1), ("forest", 3)]
+    assert len(joint) == 4 * len(ticks)
     assert len(sorts) == len(ticks)
     assert all(not X.flags.writeable for X in sorts)
     for config, i, tick, model in fits:
@@ -304,6 +322,44 @@ def test_a_refit_tick_shares_one_design_and_one_sorted_columns(monkeypatch):
         for name in ("feature", "threshold", "child", "value", "n_samples", "roots", "depths"):
             assert np.array_equal(getattr(model.payload.nodes, name),
                                   getattr(want.payload.nodes, name))
+
+
+def test_a_refit_tick_shares_one_lasso_gram(monkeypatch):
+    import driftmon.pipeline as pipeline
+    from driftmon.features import training_set
+    from driftmon.forecasters import Gram, fit_lasso
+
+    fits, grams = [], []
+
+    def recording_fit_models(config, tick, streams):
+        got = fit_models(config, tick, streams)
+        fits.extend((i, tick.at_tick, model) for i, model in zip(streams, got))
+        return got
+
+    def counting_gram(X):
+        grams.append(X)
+        return Gram(X)
+
+    fit_models = pipeline._fit_models
+    monkeypatch.setattr(pipeline, "_fit_models", recording_fit_models)
+    monkeypatch.setattr(pipeline, "Gram", counting_gram)
+    config = RunConfig(forecaster="lasso", policy=EveryKBatches(k=1), hyperparams=SMALL_HP,
+                       **SHARED)
+    run(config)
+    monkeypatch.undo()
+
+    panel = materialize(config)
+    ticks = {tick for _, tick, _ in fits}
+    assert len(fits) == 2 * len(ticks)   # both streams refit at every tick
+    assert len(grams) == len(ticks)
+    for i, tick, model in fits:
+        data = training_set(panel, config.feature_spec, i, tick, config.window_days)
+        want = fit_lasso(data, SMALL_HP, trained_at=tick).payload
+        got = model.payload
+        assert (got.intercept, got.lam, got.bic, got.rss) == (want.intercept, want.lam,
+                                                              want.bic, want.rss)
+        for name in ("slopes", "lambda_grid", "n_nonzero_path"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_naive_refits_build_no_design(monkeypatch):
@@ -556,15 +612,17 @@ PINNED_CONFIGS = [
     ({"data_csv": "panel.csv", "forecaster": "naive", "policy": "never"}, "3a7f380f79f6", "naive/never"),
     (_inline(forecaster="naive", policy="pelt"), "ac0c151c60a8", "naive/pelt"),
     (_inline(forecaster="naive", policy="pelt", pelt_penalty=12.5, pelt_min_seg_len=4),
-     "1e677b11b692", "naive/pelt(penalty=12.5)"),
+     "1e677b11b692", "naive/pelt(penalty=12.5,min_seg_len=4)"),
     (_inline(forecaster="lasso", policy="every_k", every_k=3, lasso_n_lambda=20,
              lasso_lambda_min_ratio=0.01, lasso_tol=1e-7, lasso_max_iter=500),
      "a966d0b7e7e2", "lasso/every_3"),
     (_inline(policy="every_k"), "c389f7abb8ed", "forest/every_1"),
     (_inline(alpha=0.01, max_reference_len=600, reseed_with_rejecting_batch=True,
              forest_n_trees=8, forest_mtry=3, forest_min_node_size=20, forest_bootstrap=False),
-     "a0e5e080eb79", "forest/mean_test(alpha=0.01)"),
-    (_inline(reseed_with_rejecting_batch=True), "b334ff0dca2c", "forest/mean_test(alpha=0.05)"),
+     "a0e5e080eb79",
+     "forest/mean_test(alpha=0.01,max_reference_len=600,reseed_with_rejecting_batch=True)"),
+    (_inline(reseed_with_rejecting_batch=True), "b334ff0dca2c",
+     "forest/mean_test(alpha=0.05,reseed_with_rejecting_batch=True)"),
     (_inline(forecaster="boosting", alpha=0.2, boosting_n_rounds=7, boosting_max_depth=3,
              boosting_learning_rate=0.1, boosting_min_split_gain=0.5, boosting_colsample=0.5,
              boosting_min_child_weight=4.0, boosting_subsample=0.8),
@@ -573,7 +631,7 @@ PINNED_CONFIGS = [
       "lags": [420, 30, 60], "slots_per_day": 60, "days_per_week": 5, "include_trend": False,
       "include_hour_dummies": False, "include_dow_dummies": True, "window_days": 10,
       "slots_per_batch": 30, "horizon": 30, "naive_lag": 60, "seed": 3},
-     "03e29a862f8a", "naive/mean_test(alpha=0.05)"),
+     "03e29a862f8a", "naive/mean_test(alpha=0.05,max_reference_len=120)"),
 ]
 
 

@@ -417,6 +417,85 @@ def test_tree_grown_alone_equals_tree_grown_in_block_with_binary_twins():
         assert_same_arrays(grow_tree(X, y, weights[t], min_leaf=2), block.tree(t))
 
 
+def per_tree_target_problem(kind, n=150, n_trees=5, seed=41):
+    """(X, Y, weights): a continuous-heavy or binary-heavy design, one target
+    row per tree (the first constant, the last with many ties) and bootstrap
+    weights."""
+    rng = np.random.default_rng(seed)
+    cont = rng.normal(size=(n, 5))
+    dummies = (rng.integers(0, 7, size=n)[:, None] == np.arange(6)).astype(float)
+    X = (np.column_stack([cont, dummies[:, :1]]) if kind == "continuous"
+         else np.column_stack([dummies, cont[:, :1]]))
+    Y = np.stack([np.full(n, 3.0), X[:, 0] + 0.1 * rng.normal(size=n),
+                  1000.0 + rng.normal(size=n), 5.0 * X[:, -1] - X[:, 1],
+                  rng.integers(0, 3, size=n).astype(float)])[:n_trees]
+    weights = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
+                        for _ in range(n_trees)])
+    return X, Y, weights
+
+
+@pytest.mark.parametrize("mtry", [None, 2])
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_block_on_per_tree_targets_equals_each_tree_grown_alone(kind, mtry):
+    X, Y, weights = per_tree_target_problem(kind)
+
+    def rngs():
+        return [np.random.default_rng((7, t)) for t in range(len(Y))]
+
+    block = grow_tree(X, Y, weights, rngs=rngs(), mtry=mtry, min_leaf=2)
+    # The constant target is one leaf; the others would be too if a tree read
+    # the first tree's targets.
+    assert block.tree(0).feature.size == 1
+    for t, rng in enumerate(rngs()):
+        alone = grow_tree(X, Y[t], weights[t], rngs=[rng], mtry=mtry, min_leaf=2)
+        assert_same_arrays(alone, block.tree(t))
+        assert alone.feature.size > 1 or t == 0
+
+
+@pytest.mark.parametrize("kind", ["continuous", "binary"])
+def test_trees_on_their_own_targets_in_a_block_match_the_reference(kind):
+    X, _, weights = per_tree_target_problem(kind, n=60, n_trees=4)
+    # integer targets keep every weighted sum exact in any order (see above)
+    Y = np.random.default_rng(45).integers(-6, 7, size=weights.shape).astype(float)
+    Y[0] = 2.0
+    block = grow_tree(X, Y, weights, min_leaf=3)
+    for t in range(len(Y)):
+        assert_same_tree(nested(block.tree(t)), reference_tree(X, Y[t], weights[t], min_leaf=3))
+
+
+def test_joint_forest_fit_equals_each_forest_fit_alone(monkeypatch):
+    grown = []
+
+    def recording_grow_tree(X, y, weights, **kwargs):
+        grown.append(np.shape(y))
+        return grow_tree(X, y, weights, **kwargs)
+
+    monkeypatch.setattr(models, "forest_block", lambda n: 3)
+    monkeypatch.setattr(models, "grow_tree", recording_grow_tree)
+    data = rand_design(43, n=70, p=7)
+    rng = np.random.default_rng(44)
+    targets = [(data.y, 5), (rng.normal(size=70), 6), (np.abs(data.X[:, 2]), 7)]
+    hp = HyperParams(forest=ForestParams(n_trees=2, min_node_size=3))
+    joint = models.fit_forests(data, targets, hp, trained_at=9)
+    # 6 trees in blocks of 3: the first block holds both trees of forest 0
+    # and one of forest 1, the second the other of forest 1 and both of forest 2
+    assert grown == [(3, 70), (3, 70)]
+    for (y, seed), model in zip(targets, joint):
+        want = fit_forest(design(data.X, y), hp, seed, trained_at=9)
+        assert (model.kind, model.trained_at, model.feature_names) == (
+            want.kind, want.trained_at, want.feature_names)
+        assert_same_arrays(model.payload.nodes, want.payload.nodes)
+        assert np.array_equal(model.payload.nodes.roots, want.payload.nodes.roots)
+    # each forest's node arrays are views of one joint table
+    for name in ("feature", "threshold", "child", "value", "n_samples"):
+        table = getattr(joint[0].payload.nodes, name).base
+        assert table is not None
+        for model in joint:
+            nodes = getattr(model.payload.nodes, name)
+            assert nodes.base is table and np.shares_memory(nodes, table)
+    assert sum(m.payload.nodes.feature.size for m in joint) == joint[0].payload.nodes.feature.base.size
+
+
 def test_ensemble_walk_equals_per_tree_sum_in_order():
     data = rand_design(21, n=100)
     X = np.random.default_rng(22).normal(size=(37, data.X.shape[1]))
