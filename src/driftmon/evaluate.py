@@ -9,17 +9,22 @@ losses derive from its forecasts and actuals, its retrain flag from its
 decision label, and its policy is the log's. ``write_runlog`` and
 ``read_runlog`` carry a RunLog to three stamped CSV files and back; the
 round trip restores every value, the stamp and the policy exactly.
+Reading and reporting work on whole arrays, with the same bits as a
+per-record loop: ``read_runlog`` parses forecasts.csv with numpy's C
+reader in chunks of rows, and ``build_report`` scores all of a stream's
+records of one length in one ``sape_values`` call.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,19 +153,42 @@ class Report:
     total_retrain_seconds: float
 
 
+def _sape_sums(records: list[BatchRecord]) -> list[float]:
+    """Each record's ``float(sape_values(r.actuals, r.forecasts).sum())``, bit for bit.
+
+    Records of one length are stacked into one matrix and scored in one
+    call; ``.sum(axis=1)`` sums each contiguous row with the pairwise sum a
+    1-D ``.sum()`` uses.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, r in enumerate(records):
+        by_length.setdefault(r.actuals.size, []).append(i)
+    sums = np.empty(len(records))
+    for rows in by_length.values():
+        sums[rows] = sape_values(np.stack([records[i].actuals for i in rows]),
+                                 np.stack([records[i].forecasts for i in rows])).sum(axis=1)
+    return sums.tolist()
+
+
 def build_report(log: RunLog) -> Report:
-    """Per-stream SMAPE, break counts and inter-break durations, plus averages."""
+    """Per-stream SMAPE, break counts and inter-break durations, plus averages.
+
+    A stream's SMAPE adds its records' sape sums in record order.
+    """
     if not log.records:
         raise EmptyLog("run log has no records")
+    by_stream: dict[str, list[BatchRecord]] = {}
+    for r in log.records:
+        by_stream.setdefault(r.stream_id, []).append(r)
     reports = []
     for stream_id in log.stream_ids:
-        records = log.for_stream(stream_id)
+        records = by_stream.get(stream_id)
         if not records:
             continue
-        total, count = 0.0, 0
-        for r in records:
-            total += float(sape_values(r.actuals, r.forecasts).sum())
-            count += r.actuals.size
+        total = 0.0
+        for s in _sape_sums(records):
+            total += s
+        count = sum(r.actuals.size for r in records)
         break_batches = [r.batch_index for r in records if r.retrain]
         durations = np.diff(break_batches) if len(break_batches) >= 2 else np.empty(0)
         p50 = float(np.percentile(durations, 50)) if durations.size else math.nan
@@ -291,7 +319,7 @@ def write_runlog(log: RunLog, outdir: str) -> None:
 
 
 def _open_table(stack: ExitStack, outdir: str, name: str, columns: list[str]):
-    """(stamp, csv reader) of one run-log file, positioned after its header."""
+    """(stamp, text handle) of one run-log file, positioned after its header."""
     handle = stack.enter_context(open(os.path.join(outdir, name), newline="",
                                       encoding="utf-8"))
     stamp = handle.readline().rstrip("\r\n")
@@ -299,17 +327,97 @@ def _open_table(stack: ExitStack, outdir: str, name: str, columns: list[str]):
         raise ParseError(1, f"{name}: expected a '# config_hash=... seed=...' stamp")
     if handle.readline().rstrip("\r\n").split(",") != columns:
         raise ParseError(2, f"{name}: expected header {','.join(columns)}")
-    return stamp, csv.reader(handle)
+    return stamp, handle
+
+
+# forecasts.csv rows parsed per np.loadtxt call. It bounds the read's working
+# memory beyond the records it returns (a stream id object per row, the
+# parsed fields and their columns: about 0.25 MiB), whatever the log's
+# length, while each call's fixed cost (about 12 us) stays small.
+CHUNK_ROWS = 1 << 10
+# The fields read_runlog reads back: q is implied by the row's place in its
+# record, and losses derive from forecasts and actuals.
+_FORECAST_FIELDS = np.dtype([("stream_id", object), ("batch_index", np.int64),
+                             ("tick", np.int64), ("forecast", float), ("actual", float)])
+_FORECAST_USECOLS = (0, 1, 3, 4, 5)
+
+
+def _bad_forecast_row(handle) -> ParseError | None:
+    """ParseError naming the first forecasts.csv row whose stream id, batch
+    index, tick, forecast and actual do not parse, if there is one."""
+    handle.seek(0)
+    rows = itertools.islice(csv.reader(handle), 2, None)  # past stamp and header
+    for line, row in enumerate(rows, start=3):
+        try:
+            if len(row) < len(FORECAST_COLUMNS) - 1:
+                raise ValueError(f"{len(row)} fields, expected {len(FORECAST_COLUMNS)}")
+            int(row[1]), int(row[3]), float(row[4]), float(row[5])
+        except ValueError as err:
+            return ParseError(line, f"forecasts.csv: {err}")
+    return None
+
+
+def _forecast_records(handle):
+    """Each forecasts.csv record, a run of rows with one (stream_id, batch_index):
+    (file line of its first row, stream id, batch index, tick of its last row,
+    forecasts, actuals).
+
+    Rows are parsed CHUNK_ROWS at a time, and each record's forecasts and
+    actuals are slices of its chunk's two value columns. The last record of
+    a full chunk may go on in the next chunk, so its rows are carried into it.
+    Any warning from ``np.loadtxt`` is an error: numpy 1.23 and 1.24 read an
+    integer field such as ``1.5`` through a float, truncating it, with only
+    a DeprecationWarning. loadtxt skips a blank line, which csv reads as a
+    row of no fields, so the file's lines are counted and, if they outnumber
+    its rows, checked with csv; a stream id holding a line break also spans
+    two lines.
+    """
+    columns = [np.empty(0, field) for field, _ in _FORECAST_FIELDS.fields.values()]
+    first = 0  # row index of columns' first row, 0 for the row after the header
+    counted = itertools.count(1)  # one past the lines read: compress keeps every line
+    lines = itertools.compress(handle, counted)
+    peek = next(lines, "")
+    while peek:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                chunk = np.loadtxt(itertools.chain([peek], lines), dtype=_FORECAST_FIELDS,
+                                   delimiter=",", quotechar='"', comments=None,
+                                   usecols=_FORECAST_USECOLS, max_rows=CHUNK_ROWS, ndmin=1,
+                                   encoding="utf-8")
+        except (ValueError, Warning) as exc:
+            raise (_bad_forecast_row(handle) or ParseError(
+                3, f"forecasts.csv, at or after this line: {exc}")) from None
+        # a read of no rows would warn, so look for one first
+        peek = next(lines, "") if chunk.size == CHUNK_ROWS else ""
+        columns = [np.concatenate((kept, chunk[name]))
+                   for kept, name in zip(columns, _FORECAST_FIELDS.names)]
+        ids, batches, ticks, forecasts, actuals = columns
+        starts = np.flatnonzero((ids[1:] != ids[:-1]) | (batches[1:] != batches[:-1])) + 1
+        bounds = [0, *starts.tolist(), ids.size]
+        if peek:
+            bounds.pop()  # the last record goes on, or ends, in the next chunk
+        for lo, hi in itertools.pairwise(bounds):
+            yield (first + lo + 3, ids[lo], int(batches[lo]), int(ticks[hi - 1]),
+                   forecasts[lo:hi], actuals[lo:hi])
+        first += bounds[-1]
+        columns = [column[bounds[-1]:] for column in columns]
+    if next(counted) != first + 1:
+        error = _bad_forecast_row(handle)
+        if error is not None:
+            raise error
 
 
 def read_runlog(outdir: str) -> RunLog:
     """Rebuild a RunLog, stamp included, from the files written by write_runlog.
 
-    forecasts.csv is read one record (one group of rows) at a time, in step
-    with events.csv and timings.csv. Files that do not list the same
+    forecasts.csv is parsed by ``np.loadtxt``, CHUNK_ROWS rows at a time,
+    and its records are checked in step with events.csv and timings.csv,
+    which ``csv`` reads one row per record. Files that do not list the same
     records in the same order, or carry different stamps, raise ParseError
-    naming the file and line, as do events.csv rows naming two policies. The
-    ``loss`` column is not read back: losses derive from forecasts and actuals.
+    naming the file and line, as do events.csv rows naming two policies and
+    forecasts.csv rows whose fields do not parse. The ``loss`` column is not
+    read back: losses derive from forecasts and actuals.
     """
     names = [("forecasts.csv", FORECAST_COLUMNS), ("events.csv", EVENT_COLUMNS)]
     if os.path.exists(os.path.join(outdir, "timings.csv")):
@@ -319,15 +427,16 @@ def read_runlog(outdir: str) -> RunLog:
         stamp = tables[0][0]
         if any(other != stamp for other, _ in tables[1:]):
             raise ParseError(1, "run-log files carry different stamps")
-        forecasts, events = tables[0][1], tables[1][1]
-        timings = tables[2][1] if len(tables) > 2 else iter(())
+        events = csv.reader(tables[1][1])
+        timings = csv.reader(tables[2][1]) if len(tables) > 2 else iter(())
         timing = next(timings, None)
 
         records = []
+        stream_ids = {}  # one string object per stream
         policy = None  # the one policy every events.csv row names
-        line = 3  # forecasts.csv line of the current record's first row
-        for key, group in groupby(forecasts, key=lambda row: row[:2]):
-            rows = list(group)
+        for line, stream_id, batch, end, forecasts, actuals in _forecast_records(tables[0][1]):
+            stream_id = stream_ids.setdefault(stream_id, stream_id)
+            key = [stream_id, str(batch)]
             event = next(events, None)
             if event is None or event[:2] != key:
                 listed = "no batch" if event is None else event[:2]
@@ -342,10 +451,9 @@ def read_runlog(outdir: str) -> RunLog:
                 if timing is not None and timing[:2] == key:
                     seconds = float(timing[2])
                     timing = next(timings, None)
-                values = np.array([row[4:6] for row in rows], dtype=float)
                 records.append(BatchRecord(
-                    stream_id=key[0], batch_index=int(key[1]), batch_end=int(rows[-1][3]),
-                    forecasts=values[:, 0], actuals=values[:, 1], decision=event[3],
+                    stream_id=stream_id, batch_index=batch, batch_end=end,
+                    forecasts=forecasts, actuals=actuals, decision=event[3],
                     p_value=float(event[4]) if event[4] else None,
                     statistic=float(event[5]) if event[5] else None,
                     model_token="", retrain_seconds=seconds,
@@ -353,7 +461,6 @@ def read_runlog(outdir: str) -> RunLog:
             except (ValueError, IndexError) as exc:
                 raise ParseError(line, f"forecasts.csv record (events.csv line "
                                        f"{events.line_num + 2}): {exc}") from None
-            line += len(rows)
         if next(events, None) is not None:
             raise ParseError(events.line_num + 2,
                              "events.csv lists a batch that forecasts.csv does not list there")
@@ -361,7 +468,7 @@ def read_runlog(outdir: str) -> RunLog:
             raise ParseError(timings.line_num + 2,
                              "timings.csv lists a batch that forecasts.csv does not list there")
     config_hash, seed = parse_stamp(stamp)
-    return RunLog(stream_ids=tuple(dict.fromkeys(r.stream_id for r in records)),
+    return RunLog(stream_ids=tuple(stream_ids),
                   horizon=records[0].forecasts.size if records else 0,
                   policy_name=policy or "", forecaster="",
                   seed=seed, config_hash=config_hash, records=records)

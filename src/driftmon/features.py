@@ -4,7 +4,9 @@ Every forecaster consumes the same design so comparisons stay fair. The
 column order is fixed: for each lag j (ascending), the lagged value of every
 stream in panel order; then the scaled trend; then day-of-week dummies; then
 hour-of-day dummies. Dummy blocks drop their first level as the reference so
-the design stays full rank next to a model intercept.
+the design stays full rank next to a model intercept. Each FeatureSpec
+builds one table of dummy rows per block, a row for each level, and
+``feature_matrix`` takes each tick's day and hour rows from them.
 
 Leakage freedom is structural: forecasts q steps past a batch end b use lags
 t - j with j >= min(lags) >= q, so every predictor references ticks <= b.
@@ -13,6 +15,7 @@ t - j with j >= min(lags) >= q, so every predictor references ticks <= b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +70,16 @@ class FeatureSpec:
             names.extend(f"hour_{k}" for k in range(1, self.n_hour_levels))
         return names
 
+    @cached_property
+    def _dow_dummies(self) -> np.ndarray:
+        """Row k holds the day-of-week dummies of day k of the week."""
+        return np.eye(self.days_per_week, self.days_per_week - 1, k=-1)
+
+    @cached_property
+    def _hour_dummies(self) -> np.ndarray:
+        """Row k holds the hour-of-day dummies of hour k of the day."""
+        return np.eye(self.n_hour_levels, self.n_hour_levels - 1, k=-1)
+
 
 @dataclass(frozen=True)
 class DesignMatrix:
@@ -102,13 +115,10 @@ def feature_matrix(stream_set: StreamSet, spec: FeatureSpec,
         blocks.append((ticks / spec.slots_per_day)[:, None])
     day = (ticks - 1) // spec.slots_per_day
     if spec.include_dow_dummies:
-        dow = day % spec.days_per_week
-        levels = np.arange(1, spec.days_per_week)
-        blocks.append((dow[:, None] == levels[None, :]).astype(float))
+        blocks.append(spec._dow_dummies.take(day % spec.days_per_week, axis=0))
     if spec.include_hour_dummies:
-        hour = ((ticks - 1) % spec.slots_per_day) // TICKS_PER_HOUR
-        levels = np.arange(1, spec.n_hour_levels)
-        blocks.append((hour[:, None] == levels[None, :]).astype(float))
+        hour = (ticks - 1) % spec.slots_per_day // TICKS_PER_HOUR
+        blocks.append(spec._hour_dummies.take(hour, axis=0))
     return np.hstack(blocks)
 
 

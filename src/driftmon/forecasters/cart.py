@@ -117,6 +117,10 @@ class FlatTree:
         return FlatTree(*(getattr(self, name)[lo:hi] for name in _NODE_ARRAYS),
                         self.roots[first:stop] - lo, self.depths[first:stop])
 
+    def copy(self) -> "FlatTree":
+        """The same trees in node arrays of their own."""
+        return FlatTree(*(getattr(self, name).copy() for name in self.__slots__))
+
     def tree(self, t: int) -> "FlatTree":
         """Tree ``t`` on its own; its node arrays are views of this table's."""
         return self.trees(t, t + 1)

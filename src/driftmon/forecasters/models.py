@@ -180,9 +180,11 @@ def fit_forests(data: DesignMatrix, targets: list[tuple[np.ndarray, int]], hp: H
     nodes' candidate features level by level. All forests' trees, forest
     after forest, are grown in blocks of ``forest_block(n)``, so a block may
     hold the trees of several forests, each on its forest's target; a tree
-    does not depend on its block. Each model's node table is a view of its
-    trees' range in the joint table. ``data.y`` is not read. ``columns`` is
-    ``SortedColumns(data.X)``, made here when not given.
+    does not depend on its block. With several targets, each model's node
+    table is a copy of its trees' range of the joint table, so that a model
+    kept alone keeps only its own nodes; with one, it is the joint table.
+    ``data.y`` is not read. ``columns`` is ``SortedColumns(data.X)``, made
+    here when not given.
     """
     n, p = data.X.shape
     params = hp.forest
@@ -213,11 +215,12 @@ def fit_forests(data: DesignMatrix, targets: list[tuple[np.ndarray, int]], hp: H
         blocks.append(grow_tree(data.X, y, weights, rngs=rngs, mtry=mtry,
                                 min_leaf=params.min_node_size, columns=columns))
     nodes = FlatTree.concat(blocks)
+    forests = [nodes.trees(s * n_trees, (s + 1) * n_trees) for s in range(len(targets))]
+    if len(forests) > 1:  # so that no model keeps the others' nodes alive
+        forests = [forest.copy() for forest in forests]
     return [ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
-                          trained_at=trained_at,
-                          payload=EnsemblePayload(nodes=nodes.trees(s * n_trees,
-                                                                    (s + 1) * n_trees)))
-            for s in range(len(targets))]
+                          trained_at=trained_at, payload=EnsemblePayload(nodes=forest))
+            for forest in forests]
 
 
 def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,

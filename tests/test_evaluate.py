@@ -1,10 +1,14 @@
 import math
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftmon import evaluate
 from driftmon.errors import EmptyLog, ParseError, ShapeError
 from driftmon.evaluate import (
     FORECAST_COLUMNS,
@@ -296,3 +300,184 @@ def test_read_runlog_rejects_events_that_name_two_policies(tmp_path):
     with pytest.raises(ParseError, match="events.csv names policy 'pelt'") as exc:
         read_runlog(str(tmp_path))
     assert exc.value.row == 5
+
+
+# Stream ids that csv.writer quotes, or that a reader could strip, and
+# floats whose reprs are unusual.
+_ODD_IDS = ["a,b", 'say "hi"', "cr\rid", "lf\nid", "", " lead", "trail ", " both ", "#x"]
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1e49]
+
+
+@st.composite
+def odd_runlogs(draw):
+    ids = draw(st.lists(st.sampled_from(_ODD_IDS) | st.text(max_size=6), min_size=1,
+                        max_size=4, unique=True))
+    # finite squared errors, as the pipeline's records have
+    values = st.sampled_from(_EDGE_FLOATS) | st.floats(-1e150, 1e150)
+    log = RunLog(stream_ids=tuple(ids), horizon=0, policy_name=draw(st.sampled_from(
+                     ["mean_test", "pelt", "a,b policy"])),
+                 forecaster="naive", seed=draw(st.integers(0, 2**31)),
+                 config_hash=draw(st.sampled_from(["", "c0ffee"])))
+    for batch in range(1, draw(st.integers(1, 4)) + 1):
+        for stream in ids:
+            size = draw(st.integers(1, 5))
+            seconds = draw(st.sampled_from([0.0, 1e-5, 2.5]))
+            log.append(BatchRecord(
+                stream_id=stream, batch_index=batch, batch_end=draw(st.integers(-3, 10**6)),
+                forecasts=np.array(draw(st.lists(values, min_size=size, max_size=size))),
+                actuals=np.array(draw(st.lists(values, min_size=size, max_size=size))),
+                decision=draw(st.sampled_from(["warmup", "accept", "reject", "hold", "retrain",
+                                               "final"])),
+                p_value=draw(st.none() | values), statistic=draw(st.none() | values),
+                model_token="", retrain_seconds=seconds))
+    log.horizon = log.records[0].forecasts.size
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=odd_runlogs(), chunk_rows=st.sampled_from([2, 3, evaluate.CHUNK_ROWS]))
+def test_read_runlog_round_trips_every_field(log, chunk_rows):
+    # with 2 or 3 rows a chunk, most records straddle a chunk boundary
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(evaluate, "CHUNK_ROWS", chunk_rows):
+        write_runlog(log, out)
+        again = read_runlog(out)
+    assert (again.stream_ids, again.horizon, again.policy_name, again.seed,
+            again.config_hash) == (log.stream_ids, log.horizon, log.policy_name, log.seed,
+                                   log.config_hash)
+    assert len(again.records) == len(log.records)
+    for mine, read in zip(log.records, again.records):
+        assert read.forecasts.tobytes() == mine.forecasts.tobytes()  # -0.0 too
+        assert read.actuals.tobytes() == mine.actuals.tobytes()
+        fields_of = [(r.stream_id, r.batch_index, r.batch_end, r.decision, r.p_value,
+                      r.statistic, r.retrain_seconds) for r in (mine, read)]
+        assert fields_of[0] == fields_of[1]
+        assert [type(x) for x in fields_of[0]] == [type(x) for x in fields_of[1]]
+
+
+def _set_field(field, value):
+    """Counted from the end, since a quoted stream id may hold a comma."""
+    def corrupt(line):
+        row = line.split(",")
+        row[field] = value
+        return ",".join(row)
+    return corrupt
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3, evaluate.CHUNK_ROWS])
+@pytest.mark.parametrize("corrupt", [
+    _set_field(-3, "x"), _set_field(-2, ""), _set_field(-6, "1.5"), _set_field(-4, "2e3"),
+    lambda line: line.rsplit(",", 3)[0],   # 4 fields
+    lambda line: "",                        # a blank line
+    _set_field(-6, "9"),                    # a record events.csv does not list there
+], ids=["forecast-x", "actual-empty", "batch-float", "tick-float", "four-fields", "blank",
+        "batch-9"])
+@pytest.mark.parametrize("bad_line", [3, 6, 7, 10])
+def test_read_runlog_names_the_forecasts_line_that_does_not_parse(tmp_path, chunk_rows,
+                                                                  corrupt, bad_line):
+    log = RunLog(stream_ids=("a", "b,c"), horizon=2, policy_name="never",
+                 forecaster="naive", seed=0)
+    for batch in range(1, 3):
+        for stream in log.stream_ids:
+            log.append(record(stream, batch, [1.0, 2.0], [1.5, 2.5]))
+    write_runlog(log, str(tmp_path))
+    path = tmp_path / "forecasts.csv"
+    lines = path.read_text().splitlines()
+    lines[bad_line - 1] = corrupt(lines[bad_line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(evaluate, "CHUNK_ROWS", chunk_rows), \
+            pytest.raises(ParseError, match="forecasts.csv") as exc:
+        read_runlog(str(tmp_path))
+    assert exc.value.row == bad_line
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3, evaluate.CHUNK_ROWS])
+@pytest.mark.parametrize("blank_line", [3, 4, 6, 7, 10, 11])
+def test_read_runlog_rejects_a_blank_forecasts_line_that_loadtxt_skips_quietly(
+        tmp_path, chunk_rows, blank_line):
+    # numpy 1.23 began to warn when loadtxt skips a blank line under max_rows
+    # and means to stop; the read must not lean on that warning
+    log = RunLog(stream_ids=("a", "b,c"), horizon=2, policy_name="never",
+                 forecaster="naive", seed=0)
+    for batch in range(1, 3):
+        for stream in log.stream_ids:
+            log.append(record(stream, batch, [1.0, 2.0], [1.5, 2.5]))
+    write_runlog(log, str(tmp_path))
+    path = tmp_path / "forecasts.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(blank_line - 1, "")
+    path.write_text("\n".join(lines) + "\n")
+    loadtxt = np.loadtxt
+
+    def quiet_loadtxt(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return loadtxt(*args, **kwargs)
+
+    with mock.patch.object(evaluate, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(np, "loadtxt", quiet_loadtxt), \
+            pytest.raises(ParseError, match="forecasts.csv") as exc:
+        read_runlog(str(tmp_path))
+    assert exc.value.row == blank_line
+
+
+def _reference_smapes(log):
+    """Per-stream SMAPE with one sape_values call per record, added in record order."""
+    smapes = {}
+    for stream_id in log.stream_ids:
+        total, count = 0.0, 0
+        for r in log.for_stream(stream_id):
+            total += float(sape_values(r.actuals, r.forecasts).sum())
+            count += r.actuals.size
+        if count:
+            smapes[stream_id] = total / count
+    return smapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_streams=st.integers(1, 3),
+       horizons=st.lists(st.sampled_from([1, 7, 8, 9, 60, 129, 300]), min_size=1, max_size=3),
+       zero_share=st.sampled_from([0.0, 0.3]))
+def test_build_report_equals_the_per_record_sums(seed, n_streams, horizons, zero_share):
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"s{k}" for k in range(n_streams))
+    log = RunLog(stream_ids=ids, horizon=horizons[0], policy_name="never",
+                 forecaster="naive", seed=0)
+    for batch in range(1, 6):
+        size = horizons[batch % len(horizons)]
+        # actuals as the pipeline stores them: strided views of a panel's columns
+        panel = rng.lognormal(0, 3, size=(size, n_streams)) * rng.choice([-1, 1], (size, 1))
+        forecasts = rng.normal(size=(n_streams, size)) * 10.0 ** rng.integers(-3, 4)
+        zeros = rng.random((size, n_streams)) < zero_share   # 0/0 cells
+        panel[zeros] = 0.0
+        forecasts[zeros.T] = 0.0
+        for k, stream in enumerate(ids):
+            log.append(record(stream, batch, forecasts[k], panel[:, k]))
+    got = {s.stream_id: s.smape for s in build_report(log).streams}
+    want = _reference_smapes(log)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_build_report_of_a_hand_written_run_log_with_records_of_unequal_length(tmp_path):
+    stamp = "# config_hash=abc seed=1\r\n"
+    (tmp_path / "forecasts.csv").write_bytes((
+        stamp + ",".join(FORECAST_COLUMNS) + "\r\n"
+        "a,1,1,1,1.0,3.0,4.0\r\n"
+        "a,1,2,2,0.0,0.0,0.0\r\n"
+        "b,1,1,1,2.5,2.0,0.25\r\n"
+        "a,2,1,3,-1.0,1.0,4.0\r\n"
+        "a,2,2,4,0.1,0.3,0.04\r\n"
+        "a,2,3,5,7.0,7.0,0.0\r\n"
+        "b,2,1,2,0.0,1e-300,1e-600\r\n").encode())
+    (tmp_path / "events.csv").write_bytes((
+        stamp + "stream_id,batch_index,policy,decision,p_value,statistic\r\n"
+        "a,1,never,hold,,\r\nb,1,never,hold,,\r\na,2,never,final,,\r\nb,2,never,final,,\r\n"
+    ).encode())
+    log = read_runlog(str(tmp_path))
+    assert [r.forecasts.size for r in log.records] == [2, 1, 3, 1]
+    report = build_report(log)
+    want = _reference_smapes(log)
+    assert [s.smape for s in report.streams] == [want["a"], want["b"]]
+    # a: (50 + 0 + 100 + 50 + 0) / 5; b: (100 * 0.5 / 4.5 + 100) / 2
+    assert report.streams[0].smape == pytest.approx(40.0)
+    assert report.streams[1].smape == pytest.approx((100 * 0.5 / 4.5 + 100) / 2)

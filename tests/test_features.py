@@ -126,3 +126,37 @@ def test_spec_validation():
                     days_per_week=7)  # 30 not divisible by 4
     spec = FeatureSpec(lags=(420, 60))
     assert spec.lags == (60, 420)  # stored ascending
+
+
+def direct_dummies(spec, ticks):
+    """Day-of-week then hour-of-day dummies, each compared level by level."""
+    ticks = np.asarray(ticks)
+    blocks = [np.empty((ticks.size, 0))]
+    if spec.include_dow_dummies:
+        dow = (ticks - 1) // spec.slots_per_day % spec.days_per_week
+        blocks.append((dow[:, None] == np.arange(1, spec.days_per_week)).astype(float))
+    if spec.include_hour_dummies:
+        hour = (ticks - 1) % spec.slots_per_day // 4
+        blocks.append((hour[:, None] == np.arange(1, spec.slots_per_day // 4)).astype(float))
+    return np.hstack(blocks)
+
+
+@pytest.mark.parametrize("trend", [False, True])
+@pytest.mark.parametrize("dow", [False, True])
+@pytest.mark.parametrize("hour", [False, True])
+@pytest.mark.parametrize("days_per_week", [1, 7])
+@pytest.mark.parametrize("slots_per_day", [4, 60])
+def test_feature_matrix_equals_the_direct_construction(trend, dow, hour, days_per_week,
+                                                       slots_per_day):
+    spec = FeatureSpec(lags=(1, 5), slots_per_day=slots_per_day, days_per_week=days_per_week,
+                       include_trend=trend, include_dow_dummies=dow, include_hour_dummies=hour)
+    n_ticks = 3 * slots_per_day * days_per_week + 11   # more than three weeks
+    streams = panel(np.random.default_rng(slots_per_day).normal(size=(n_ticks, 2)))
+    ticks = np.arange(6, n_ticks + 1)
+    for chosen in (ticks, ticks[::-7], ticks[[0]], ticks[:0]):
+        lags = [streams.values[chosen - j - 1] for j in spec.lags]
+        trend_column = [(chosen / slots_per_day)[:, None]] if trend else []
+        want = np.hstack(lags + trend_column + [direct_dummies(spec, chosen)])
+        got = feature_matrix(streams, spec, chosen)
+        assert got.shape == want.shape == (chosen.size, len(spec.column_names(("a", "b"))))
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -486,14 +486,13 @@ def test_joint_forest_fit_equals_each_forest_fit_alone(monkeypatch):
             want.kind, want.trained_at, want.feature_names)
         assert_same_arrays(model.payload.nodes, want.payload.nodes)
         assert np.array_equal(model.payload.nodes.roots, want.payload.nodes.roots)
-    # each forest's node arrays are views of one joint table
-    for name in ("feature", "threshold", "child", "value", "n_samples"):
-        table = getattr(joint[0].payload.nodes, name).base
-        assert table is not None
-        for model in joint:
-            nodes = getattr(model.payload.nodes, name)
-            assert nodes.base is table and np.shares_memory(nodes, table)
-    assert sum(m.payload.nodes.feature.size for m in joint) == joint[0].payload.nodes.feature.base.size
+    # no two models share memory, so a model kept alone keeps only its own
+    # nodes: an array's memory is its base's, when it is a view
+    for name in ("feature", "threshold", "child", "value", "n_samples", "roots", "depths"):
+        kept = [getattr(model.payload.nodes, name) for model in joint]
+        kept = [array if array.base is None else array.base for array in kept]
+        for i, mine in enumerate(kept):
+            assert not any(np.shares_memory(mine, other) for other in kept[i + 1:])
 
 
 def test_ensemble_walk_equals_per_tree_sum_in_order():
