@@ -20,7 +20,10 @@ per-node sums over each column's rarer value instead of a sorted layout. A
 fit builds it unless its caller passes one (``columns=``): fits on one
 design, such as every stream's fit at one batch end, can share it, as lasso
 fits can share one ``Gram`` (``gram=``). An ensemble keeps all its trees in
-one ``FlatTree`` node table and predicts with one walk over it.
+one ``FlatTree`` node table of its own, 28 bytes a node (int32 ``feature``,
+``child`` and ``n_samples``, float64 ``threshold`` and ``value``), and
+predicts with one walk over it. The bootstrap weights of a forest block are
+int32 too.
 """
 
 from __future__ import annotations
@@ -180,11 +183,12 @@ def fit_forests(data: DesignMatrix, targets: list[tuple[np.ndarray, int]], hp: H
     nodes' candidate features level by level. All forests' trees, forest
     after forest, are grown in blocks of ``forest_block(n)``, so a block may
     hold the trees of several forests, each on its forest's target; a tree
-    does not depend on its block. With several targets, each model's node
-    table is a copy of its trees' range of the joint table, so that a model
-    kept alone keeps only its own nodes; with one, it is the joint table.
-    ``data.y`` is not read. ``columns`` is ``SortedColumns(data.X)``, made
-    here when not given.
+    does not depend on its block. Each forest's node table is built once, as
+    soon as its last tree is grown, from its trees' ranges of the blocks,
+    and those blocks' node arrays are let go of one by one as it is built
+    (``FlatTree.concat``): a fit never holds its nodes twice, and a model
+    kept alone keeps only its own nodes. ``data.y`` is not read. ``columns``
+    is ``SortedColumns(data.X)``, made here when not given.
     """
     n, p = data.X.shape
     params = hp.forest
@@ -198,29 +202,36 @@ def fit_forests(data: DesignMatrix, targets: list[tuple[np.ndarray, int]], hp: H
         columns = SortedColumns(data.X)
     n_trees = params.n_trees
     ys = np.stack([y for y, _ in targets])
-    block = forest_block(n)
-    blocks = []
-    for first in range(0, len(targets) * n_trees, block):
-        forest, tree = np.divmod(np.arange(first, min(first + block, len(targets) * n_trees)),
-                                 n_trees)
+    end = len(targets) * n_trees
+    step = forest_block(n)
+    tables, parts = [], []   # parts: the trees grown so far of the forest being grown
+    for first in range(0, end, step):
+        stop = min(first + step, end)
+        forest, tree = np.divmod(np.arange(first, stop), n_trees)
         rngs = [np.random.default_rng((targets[s][1], t))
                 for s, t in zip(forest.tolist(), tree.tolist())]
         if params.bootstrap:
-            weights = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n)
-                                for rng in rngs])
+            weights = np.empty((len(rngs), n), dtype=np.int32)
+            for row, rng in zip(weights, rngs):
+                row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
-            weights = np.ones((len(rngs), n), dtype=np.intp)
+            weights = np.ones((len(rngs), n), dtype=np.int32)
         # one target for a block within one forest, else one per tree
         y = ys[forest[0]] if forest[0] == forest[-1] else ys[forest]
-        blocks.append(grow_tree(data.X, y, weights, rngs=rngs, mtry=mtry,
-                                min_leaf=params.min_node_size, columns=columns))
-    nodes = FlatTree.concat(blocks)
-    forests = [nodes.trees(s * n_trees, (s + 1) * n_trees) for s in range(len(targets))]
-    if len(forests) > 1:  # so that no model keeps the others' nodes alive
-        forests = [forest.copy() for forest in forests]
+        block = grow_tree(data.X, y, weights, rngs=rngs, mtry=mtry,
+                          min_leaf=params.min_node_size, columns=columns)
+        # The block's trees of each forest it holds (global tree numbers).
+        cuts = [first, *range(first - first % n_trees + n_trees, stop, n_trees), stop]
+        pieces = [block.trees(a - first, b - first) for a, b in zip(cuts, cuts[1:])]
+        del block   # the pieces alone hold its arrays, which building a table releases
+        for piece, b in zip(pieces, cuts[1:]):
+            parts.append(piece)
+            if b % n_trees == 0:   # the forest's last tree
+                tables.append(FlatTree.concat(parts))
+                parts = []
     return [ForecastModel(kind=ModelKind.FOREST, feature_names=data.column_names,
-                          trained_at=trained_at, payload=EnsemblePayload(nodes=forest))
-            for forest in forests]
+                          trained_at=trained_at, payload=EnsemblePayload(nodes=table))
+            for table in tables]
 
 
 def fit_boosting(data: DesignMatrix, hp: HyperParams, seed: int, trained_at: int = 0,
