@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .evaluate import BatchRecord, Report, RunLog, build_report, squared_loss_batch
+from .evaluate import Report, RunLog, build_report, squared_loss_batch
 from .features import DesignMatrix, FeatureSpec, feature_matrix, training_set
 from .forecasters import (
     ForecastModel,
@@ -377,25 +377,28 @@ def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
     passes: every (config, stream) forecasts, is scored and decides
     (``observe``); then the batch end's refits are all made at once
     (``_RefitTick.fit_all``); then the records are appended, config by
-    config and stream by stream. Configs that refit a stream at one batch
-    end with the same model share one fit, and each records its seconds;
-    the streams of one forest model grow in one joint call, whose time is
-    split evenly among them. The fits of a batch end share one design, one
-    ``SortedColumns`` and one lasso ``Gram``; the time to build them counts
-    in the seconds of the fit that builds them. The fits of a batch end are
-    dropped after it. Every config is checked against the panel before the
-    first fit.
+    config and stream by stream, to logs allocated once at their final
+    size that read each record's actuals from the panel. Configs that
+    refit a stream at one batch end with the same model share one fit, and
+    each records its seconds; the streams of one forest model grow in one
+    joint call, whose time is split evenly among them. The fits of a batch
+    end share one design, one ``SortedColumns`` and one lasso ``Gram``; the
+    time to build them counts in the seconds of the fit that builds them.
+    The fits of a batch end are dropped after it. Every config is checked
+    against the panel before the first fit.
     """
     # every config is checked; they share the panel geometry, so the origins too
     ends = [_forecast_origins(config, streams) for config in configs][0]
     first = configs[0]
     spec, Q, window = first.feature_spec, first.horizon, first.window_days
     n_streams = streams.n_streams
+    n_records = n_streams * len(ends)
     logs = []
     for config in configs:
-        log = RunLog(stream_ids=streams.stream_ids, horizon=Q,
-                     policy_name=config.policy.name, forecaster=config.forecaster,
-                     seed=config.seed, config_hash=config.config_hash())
+        log = RunLog.over_panel(streams.values, n_records, n_records * Q,
+                                stream_ids=streams.stream_ids, horizon=Q,
+                                policy_name=config.policy.name, forecaster=config.forecaster,
+                                seed=config.seed, config_hash=config.config_hash())
         if isinstance(config.source, RegimeScenario):
             log.meta["shift_batches"] = _shift_batches(config.source, streams.stream_ids,
                                                        ends, Q)
@@ -430,22 +433,21 @@ def _step_runs(configs: list[RunConfig], streams: StreamSet) -> list[RunLog]:
                 forecasts, actuals = predict_matrix(model_k[i], F), actual_rows[:, i]
                 losses = squared_loss_batch(actuals, forecasts)
                 decision = _NO_DECISION if final else observe(state_k[i], losses)
-                steps.append((k, i, forecasts, actuals, decision))
+                steps.append((k, i, forecasts, decision))
         if not final:
             tick = _RefitTick(streams, spec, ends[idx], window)
             tick.fit_all([(configs[k], i) for k, i, *_, decision in steps if decision.retrain])
-        for k, i, forecasts, actuals, decision in steps:
+        for k, i, forecasts, decision in steps:
             config = configs[k]
             made_by = tokens[k][i]
             seconds = refit(tick, k, i) if decision.retrain else 0.0
-            logs[k].append(BatchRecord(
-                stream_id=streams.stream_ids[i], batch_index=idx,
-                batch_end=origin + Q, forecasts=forecasts, actuals=actuals,
-                decision="final" if final else config.policy.label(decision),
-                p_value=decision.test.p_value if decision.test else None,
-                statistic=decision.test.statistic if decision.test else None,
-                model_token=made_by, retrain_seconds=seconds,
-            ))
+            test = decision.test
+            # the record's actuals are actual_rows[:, i], which the log reads from the panel
+            logs[k].append_from_panel(
+                i, idx, origin + Q, forecasts,
+                "final" if final else config.policy.label(decision),
+                test.p_value if test else None, test.statistic if test else None,
+                made_by, seconds)
     return logs
 
 

@@ -481,3 +481,71 @@ def test_build_report_of_a_hand_written_run_log_with_records_of_unequal_length(t
     # a: (50 + 0 + 100 + 50 + 0) / 5; b: (100 * 0.5 / 4.5 + 100) / 2
     assert report.streams[0].smape == pytest.approx(40.0)
     assert report.streams[1].smape == pytest.approx((100 * 0.5 / 4.5 + 100) / 2)
+
+
+def test_a_runlog_built_with_append_returns_every_field_unchanged():
+    odd = [None, math.nan, math.inf, -math.inf, 0.25, None]
+    log = RunLog(stream_ids=("a", "b,c"), horizon=1, policy_name="mean_test",
+                 forecaster="naive", seed=3)
+    appended = []
+    for k in range(6):  # lengths 1 to 3, streams interleaved
+        size = k % 3 + 1
+        appended.append(BatchRecord(
+            stream_id=log.stream_ids[k % 2], batch_index=k // 2 + 1, batch_end=10 * k - 3,
+            forecasts=np.arange(size) + 0.5 * k, actuals=-np.arange(size) - 0.25 * k,
+            decision=["warmup", "reject", "accept", "final"][k % 4], p_value=odd[k],
+            statistic=odd[-1 - k], model_token=f"naive@{k}#0", retrain_seconds=0.125 * k))
+        log.append(appended[-1])
+
+    def same(got, want):
+        assert isinstance(got, BatchRecord)
+        for name in ("stream_id", "batch_index", "batch_end", "decision", "p_value",
+                     "statistic", "model_token", "retrain_seconds"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert type(mine) is type(theirs), name
+            assert mine is theirs or mine == theirs or (math.isnan(mine) and math.isnan(theirs))
+        assert got.forecasts.tobytes() == want.forecasts.tobytes()
+        assert got.actuals.tobytes() == want.actuals.tobytes()
+        assert (got.retrain, got.losses.tolist()) == (want.retrain, want.losses.tolist())
+        assert not got.forecasts.flags.writeable and not got.actuals.flags.writeable
+
+    assert len(log.records) == 6
+    for _ in range(2):  # iterating twice lists the same records
+        for got, want in zip(log.records, appended, strict=True):
+            same(got, want)
+    for k in range(-6, 6):
+        same(log.records[k], appended[k])
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            log.records[bad]
+    for got, want in zip(log.records[-2:], appended[-2:], strict=True):
+        same(got, want)
+    for stream in log.stream_ids:
+        mine = [r for r in appended if r.stream_id == stream]
+        for got, want in zip(log.for_stream(stream), mine, strict=True):
+            same(got, want)
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3, evaluate.CHUNK_ROWS])
+@pytest.mark.parametrize("extra", [",junk,9", ","])
+@pytest.mark.parametrize("bad_line", [3, 6])
+def test_read_runlog_names_a_forecasts_row_with_more_fields_than_its_header(
+        tmp_path, chunk_rows, extra, bad_line):
+    log = RunLog(stream_ids=("a", "b,c"), horizon=2, policy_name="never",
+                 forecaster="naive", seed=0)
+    for batch in range(1, 3):
+        for stream in log.stream_ids:
+            log.append(record(stream, batch, [1.0, 2.0], [1.5, 2.5]))
+    write_runlog(log, str(tmp_path))
+    with mock.patch.object(evaluate, "CHUNK_ROWS", chunk_rows):
+        assert [r.stream_id for r in read_runlog(str(tmp_path)).records] == ["a", "b,c"] * 2
+    path = tmp_path / "forecasts.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    row = lines[bad_line - 1].removesuffix(b"\r\n")
+    assert row.startswith(b'"b,c",' if bad_line == 6 else b"a,")
+    lines[bad_line - 1] = row + extra.encode() + b"\r\n"
+    path.write_bytes(b"".join(lines))
+    with mock.patch.object(evaluate, "CHUNK_ROWS", chunk_rows), \
+            pytest.raises(ParseError, match=r"forecasts\.csv: \d+ fields, expected 7") as exc:
+        read_runlog(str(tmp_path))
+    assert exc.value.row == bad_line

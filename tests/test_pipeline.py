@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -795,3 +797,43 @@ def test_scenario_documents_fail_validation_or_run(doc):
     n_batches = max(r.batch_index for r in log.records)
     assert len(log.records) == len(log.stream_ids) * n_batches
     assert all(np.isfinite(r.forecasts).all() for r in log.records)
+
+
+def _kept_bytes(fn):
+    """``fn()`` and the traced bytes still held after it returns beyond those held before."""
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# What a log may keep beyond its float data, a record: its fields are 65
+# bytes; the rest is the log's objects and tables.
+RECORD_BYTES = 96
+
+
+def test_run_logs_keep_their_float_data_plus_96_bytes_a_record(tmp_path):
+    scenario = RegimeScenario(n_streams=1, n_days=8 + 150, slots_per_day=60,
+                              noise_scale=2.0, seed=4)
+    config = RunConfig(source=scenario, forecaster="naive", window_days=8, seed=4)
+    panel = materialize(config)
+    run(config, stream_set=panel)  # fills the monitor's caches
+    log, kept = _kept_bytes(lambda: run(config, stream_set=panel))
+    n = len(log.records)
+    assert n == 150 and config.horizon == 60
+    # its actuals are views of the panel, so its floats are its forecasts
+    assert kept <= n * (60 * 8 + RECORD_BYTES), kept / n
+    write_runlog(log, str(tmp_path))
+    read_runlog(str(tmp_path))  # the first read fills module caches that outlive it
+    again, kept = _kept_bytes(lambda: read_runlog(str(tmp_path)))
+    assert len(again.records) == n
+    # read back, it holds the parsed forecasts and actuals
+    assert kept <= n * (2 * 60 * 8 + RECORD_BYTES), kept / n
